@@ -52,13 +52,13 @@ inline double robust_seconds(const RunningStats& stats) {
 /// unrolled SpMV — the paper's "optimized kernel" baseline).
 inline double time_baseline_mpk(const CsrMatrix<double>& a,
                                 std::span<const double> x, int k,
-                                const perf::BenchOptions& o) {
+                                const perf::BenchOptions& o,
+                                SpmvExec exec = SpmvExec::kParallel) {
   const index_t n = a.rows();
   MpkWorkspace<double> ws;
   AlignedVector<double> y(static_cast<std::size_t>(n));
   return robust_seconds(perf::time_runs(
-      [&] { mpk_power<double>(a, x, k, y, ws, SpmvExec::kParallel); },
-      o.reps, o.warmup));
+      [&] { mpk_power<double>(a, x, k, y, ws, exec); }, o.reps, o.warmup));
 }
 
 /// Median seconds of FBMPK through a prebuilt plan (kernel time only).

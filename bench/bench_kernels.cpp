@@ -122,11 +122,16 @@ void BM_FbmpkParallelBlocks(benchmark::State& state) {
   const auto split = split_triangular(permuted);
   AlignedVector<double> px(w.x.size());
   permute_vector<double>(o.perm, w.x, px);
-  FbWorkspace<double> ws;
+  const auto sched = build_sweep_schedule(o, split, max_threads());
+  const ScalarRows<double> rows(split);
+  SweepWorkspace<double> ws;
   AlignedVector<double> y(w.x.size());
+  double* yp = y.data();
   for (auto _ : state) {
-    fbmpk_parallel_power<double>(split, o, std::span<const double>(px), 5, y,
-                                 ws);
+    fbmpk_barrier_sweep_rows(split, sched, rows, std::span<const double>(px),
+                             5, ws, [&](int p, index_t i, double v) {
+                               if (p == 5) yp[i] = v;
+                             });
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["colors"] = static_cast<double>(o.num_colors);

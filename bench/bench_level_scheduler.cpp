@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
         {c.name, std::to_string(a.rows()),
          std::to_string(abmc_plan.stats().num_colors),
          std::to_string(lvl_plan.stats().num_levels_forward),
-         std::to_string(lvl_plan.level_sweep_schedule().fwd.num_stages),
+         std::to_string(lvl_plan.stage_schedule().fwd.num_stages),
          perf::Table::fmt(abmc_s * 1e3), perf::Table::fmt(lvl_s * 1e3),
          std::string(picked_levels ? "levels" : "abmc") +
              (race.measured ? " (timed)" : " (model)")});

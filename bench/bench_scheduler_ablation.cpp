@@ -2,21 +2,19 @@
 // level scheduling for parallel FBMPK, k = 5.
 //
 // ABMC pays a permutation (locality risk, preprocessing cost) to get a
-// handful of barriers per sweep; level scheduling keeps the original
-// order but pays one barrier per dependency level — unless the blocked
-// level engine aggregates levels into cache-sized stages and replaces
-// the barriers with per-thread epoch waits. This bench reports the
-// structural trade-off (colors vs levels vs stages, i.e. sync points
-// per forward+backward pair) and the measured kernel times on this
-// host, across four rungs:
-//   abmc          ABMC permutation + per-color barriers
-//   levels_barrier natural order, one barrier per dependency level
-//   levels_engine  natural order, blocked stages + p2p epoch sync
+// handful of stages per sweep; level scheduling keeps the original
+// order and aggregates dependency levels into cache-sized stages. Both
+// build the same stage schedule. This bench reports the structural
+// trade-off (colors vs levels vs stages, i.e. sync points per
+// forward+backward pair) and the measured kernel times on the host it
+// runs on, across four rungs:
+//   abmc           ABMC permutation, one barrier per color stage
+//   levels_barrier natural order, one barrier per level stage
+//   levels_engine  natural order, level stages + p2p epoch sync
 //   serial         natural order, single thread (the bitwise oracle)
 //
 // Results land in BENCH_scheduler_ablation.json (schema v3).
 #include "bench_common.hpp"
-#include "kernels/fbmpk_level.hpp"
 #include "perf/cost_model.hpp"
 #include "reorder/nnz_partition.hpp"
 #include "sparse/split.hpp"
@@ -68,7 +66,7 @@ int main(int argc, char** argv) {
 
     const index_t colors = abmc_plan.stats().num_colors;
     const index_t lv_f = lvl_plan.stats().num_levels_forward;
-    const index_t st_f = eng_plan.level_sweep_schedule().fwd.num_stages;
+    const index_t st_f = eng_plan.stage_schedule().fwd.num_stages;
     table.add_row({m.name, std::to_string(colors), std::to_string(lv_f),
                    std::to_string(st_f), perf::Table::fmt(abmc_s * 1e3),
                    perf::Table::fmt(lvl_s * 1e3),
@@ -120,13 +118,12 @@ int main(int argc, char** argv) {
   report.write();
   std::printf(
       "\nlevel scheduling keeps the original order (no locality loss, no "
-      "permutation cost)\nbut per-level barriers cost orders of magnitude "
-      "more sync than ABMC's per-color\nbarriers — the reason the paper "
-      "chose multi-coloring (§III-D). The blocked level\nengine "
-      "(levels_engine) closes that gap: levels aggregate into cache-sized "
-      "stages\nand threads wait on actual predecessors via epoch counters, "
-      "so the natural\norder becomes competitive on matrices where ABMC's "
-      "permutation hurts locality\nor its color count explodes (see "
-      "docs/PARALLELISM.md for the decision table).\n");
+      "permutation cost)\nbut has far more dependency levels than ABMC has "
+      "colors — the reason the paper\nchose multi-coloring (§III-D). Level "
+      "blocking aggregates levels into cache-sized\nstages, and the engine "
+      "(levels_engine) waits on actual predecessors via epoch\ncounters, "
+      "so the natural order becomes competitive on matrices where ABMC's\n"
+      "permutation hurts locality or its color count explodes (see "
+      "docs/PARALLELISM.md\nfor the decision table).\n");
   return 0;
 }

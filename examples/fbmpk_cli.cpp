@@ -307,26 +307,23 @@ int cmd_info(const Args& args) {
               static_cast<int>(st.num_colors));
   std::printf("storage:         %.2f MB (L+U+d)\n",
               static_cast<double>(st.storage_bytes) / (1024.0 * 1024.0));
-  const bool is_levels = plan.options().scheduler == Scheduler::kLevels;
   std::printf("scheduler:       %s, parallel=%s, reorder=%s\n",
               scheduler_name(plan.options().scheduler),
               plan.options().parallel ? "yes" : "no",
               plan.options().reorder ? "yes" : "no");
-  if (is_levels) {
+  if (st.num_levels_forward > 0)
     std::printf("levels:          %d forward / %d backward\n",
-                static_cast<int>(plan.levels().forward.num_levels),
-                static_cast<int>(plan.levels().backward.num_levels));
-    if (!plan.level_sweep_schedule().empty())
-      std::printf("level blocking:  %d fwd / %d bwd stages x %d threads\n",
-                  static_cast<int>(plan.level_sweep_schedule().fwd.num_stages),
-                  static_cast<int>(plan.level_sweep_schedule().bwd.num_stages),
-                  static_cast<int>(plan.level_sweep_schedule().num_threads));
-  }
+                static_cast<int>(st.num_levels_forward),
+                static_cast<int>(st.num_levels_backward));
+  const StageSchedule& stages = plan.stage_schedule();
+  if (!stages.empty())
+    std::printf("stages:          %d fwd / %d bwd x %d threads\n",
+                static_cast<int>(stages.fwd.num_stages),
+                static_cast<int>(stages.bwd.num_stages),
+                static_cast<int>(stages.num_threads));
   if (plan.options().sweep.sync == SweepSync::kPointToPoint)
     std::printf("sweep:           point-to-point, %d threads%s\n",
-                static_cast<int>(is_levels
-                                     ? plan.level_sweep_schedule().num_threads
-                                     : plan.sweep_schedule().num_threads),
+                static_cast<int>(stages.num_threads),
                 plan.options().sweep.pin_threads ? ", pinned" : "");
   else
     std::printf("sweep:           barrier\n");

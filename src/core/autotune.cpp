@@ -338,8 +338,8 @@ SchedulerRaceResult autotune_scheduler(const CsrMatrix<double>& a, int k,
       // Levels is the keep-the-order strategy: race it the way a levels
       // plan ships — natural order, blocked stages, p2p engine — which
       // is also the configuration the oracle scored above. Leaving the
-      // base reorder on would time the per-level barrier kernel on the
-      // permuted matrix, a rung no production levels plan runs.
+      // base reorder on would time level stages over the permuted
+      // matrix, a configuration no production levels plan runs.
       opts.reorder = false;
       opts.sweep.sync = SweepSync::kPointToPoint;
     }

@@ -77,9 +77,8 @@ struct SweepSyncResult {
 /// Measure y = A^k x under both sweep synchronization modes (same
 /// options otherwise) and pick the faster. Skips the measurement and
 /// returns kBarrier for serial plans or a single-thread runtime, where
-/// point-to-point cannot win. Both schedulers have a point-to-point
-/// engine (the ABMC persistent-threads engine and the level engine),
-/// so the race runs for either.
+/// point-to-point cannot win. Both schedulers build the same stage
+/// schedule, which both rungs run, so the race runs for either.
 SweepSyncResult autotune_sweep_sync(const CsrMatrix<double>& a, int k,
                                     int reps = 3, PlanOptions base = {});
 

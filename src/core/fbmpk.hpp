@@ -11,7 +11,7 @@
 #include "kernels/dispatch.hpp"         // runtime row-kernel backends
 #include "kernels/fb_simd.hpp"          // fast-mode (dispatched) sweeps
 #include "kernels/fbmpk.hpp"            // serial FBMPK kernels
-#include "kernels/fbmpk_parallel.hpp"   // color-scheduled parallel FBMPK
+#include "kernels/fbmpk_parallel.hpp"   // stage-scheduled parallel FBMPK
 #include "kernels/mpk_baseline.hpp"     // standard MPK baseline
 #include "kernels/spmv.hpp"             // SpMV kernels
 #include "kernels/symgs.hpp"            // symmetric Gauss-Seidel sweeps

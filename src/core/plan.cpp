@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <new>
+#include <type_traits>
 
 #include "kernels/fb_batch.hpp"
 #include "kernels/fbmpk_parallel.hpp"
@@ -14,42 +15,19 @@ namespace fbmpk {
 namespace {
 
 #if FBMPK_TELEMETRY_ENABLED
-// Max-over-mean per-thread nnz load of the point-to-point schedule, in
-// parts-per-million (same diagnostic as perf::partition_imbalance, kept
-// local to avoid a core -> perf dependency). 1e6 == perfectly balanced.
-std::int64_t schedule_imbalance_ppm(const SweepSchedule& sched) {
-  if (sched.empty() || sched.load.empty()) return 0;
-  const std::size_t T_n = static_cast<std::size_t>(sched.num_threads);
-  std::vector<double> per_thread(T_n, 0.0);
-  for (std::size_t t = 0; t < T_n; ++t)
-    for (index_t c = 0; c < sched.num_colors; ++c)
-      per_thread[t] += static_cast<double>(
-          sched.load[t * static_cast<std::size_t>(sched.num_colors) +
-                     static_cast<std::size_t>(c)]);
-  double total = 0.0, peak = 0.0;
-  for (double v : per_thread) {
-    total += v;
-    peak = std::max(peak, v);
-  }
-  const double mean = total / static_cast<double>(T_n);
-  if (mean <= 0.0) return 0;
-  return static_cast<std::int64_t>(peak / mean * 1e6);
-}
-
-// Same diagnostic for the level-blocked schedule: per-thread nnz load
-// summed over both directions' stages.
-std::int64_t level_imbalance_ppm(const LevelSweepSchedule& sched) {
+// Max-over-mean per-thread nnz load of the stage schedule over both
+// directions, in parts-per-million (same diagnostic as
+// perf::partition_imbalance, kept local to avoid a core -> perf
+// dependency). 1e6 == perfectly balanced.
+std::int64_t imbalance_ppm(const StageSchedule& sched) {
   if (sched.empty()) return 0;
   const std::size_t T_n = static_cast<std::size_t>(sched.num_threads);
   std::vector<double> per_thread(T_n, 0.0);
-  const auto add = [&](const LevelBlockDirection& d) {
+  for (const StageDirection* d : {&sched.fwd, &sched.bwd})
     for (std::size_t t = 0; t < T_n; ++t)
-      for (index_t s = 0; s < d.num_stages; ++s)
+      for (index_t s = 0; s < d->num_stages; ++s)
         per_thread[t] += static_cast<double>(
-            d.load[d.slot(static_cast<index_t>(t), s)]);
-  };
-  add(sched.fwd);
-  add(sched.bwd);
+            d->load[d->slot(static_cast<index_t>(t), s)]);
   double total = 0.0, peak = 0.0;
   for (double v : per_thread) {
     total += v;
@@ -162,35 +140,14 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
     plan.opts_.scheduler = opts.scheduler;
   }
 
-  if (opts.parallel && opts.scheduler == Scheduler::kLevels) {
-    FBMPK_TSPAN(kPlan, "plan.levels");
-    plan.levels_ = LevelSchedulePair::of(plan.split_);
-    plan.stats_.num_levels_forward = plan.levels_.forward.num_levels;
-    plan.stats_.num_levels_backward = plan.levels_.backward.num_levels;
-    if (opts.sweep.sync == SweepSync::kPointToPoint) {
-      FBMPK_TSPAN(kPlan, "plan.level_blocking");
-      const index_t threads = opts.sweep.threads > 0
-                                  ? opts.sweep.threads
-                                  : static_cast<index_t>(max_threads());
-      plan.level_sweep_schedule_ =
-          build_level_sweep_schedule(plan.levels_, plan.split_, threads);
-      plan.stats_.sweep_threads = threads;
-      FBMPK_TGAUGE("plan.partition_imbalance_ppm",
-                   level_imbalance_ppm(plan.level_sweep_schedule_));
-    }
-  }
-
-  if (opts.parallel && opts.scheduler == Scheduler::kAbmc &&
-      opts.sweep.sync == SweepSync::kPointToPoint) {
-    FBMPK_TSPAN(kPlan, "plan.sweep_schedule");
+  if (opts.parallel) {
+    FBMPK_TSPAN(kPlan, "plan.stage_schedule");
     const index_t threads = opts.sweep.threads > 0
                                 ? opts.sweep.threads
                                 : static_cast<index_t>(max_threads());
-    plan.sweep_schedule_ =
-        build_sweep_schedule(plan.schedule_, plan.split_, threads);
+    plan.stages_ = plan.build_stages(threads);
     plan.stats_.sweep_threads = threads;
-    FBMPK_TGAUGE("plan.partition_imbalance_ppm",
-                 schedule_imbalance_ppm(plan.sweep_schedule_));
+    FBMPK_TGAUGE("plan.partition_imbalance_ppm", imbalance_ppm(plan.stages_));
   }
 
   if (opts.index_compress) {
@@ -240,6 +197,16 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
   return plan;
 }
 
+StageSchedule MpkPlan::build_stages(index_t threads) {
+  if (opts_.scheduler == Scheduler::kLevels) {
+    const LevelSchedulePair levels = LevelSchedulePair::of(split_);
+    stats_.num_levels_forward = levels.forward.num_levels;
+    stats_.num_levels_backward = levels.backward.num_levels;
+    return build_level_sweep_schedule(levels, split_, threads);
+  }
+  return build_sweep_schedule(schedule_, split_, threads);
+}
+
 DispatchRows MpkPlan::dispatch_rows() const {
   return make_dispatch_rows(split_,
                             opts_.index_compress ? &packed_ : nullptr,
@@ -253,72 +220,30 @@ bool tuned_config_stale(const TunedConfig& cfg, index_t runtime_threads) {
   return cfg.tuned_threads != runtime_threads;
 }
 
-void MpkPlan::run_power(std::span<const double> px, int k,
-                        std::span<double> py, Workspace& ws) const {
-  if (use_dispatch()) {
-    const DispatchRows rows = dispatch_rows();
-    if (!opts_.parallel) {
-      fbmpk_power_fast(split_, rows, px, k, py, ws.fb);
-      return;
-    }
-    if (k == 0) {
-      std::copy(px.begin(), px.end(), py.begin());
-      return;
-    }
-    double* yp = py.data();
-    auto emit = [&](int p, index_t i, double v) {
-      if (p == k) yp[i] = v;
-    };
-    if (opts_.scheduler == Scheduler::kLevels) {
-      if (use_level_engine())
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, px, k, ws.sweep, emit,
-                                      opts_.sweep.pin_threads);
-      else
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit);
-    } else if (use_engine())
-      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, px, k,
-                              ws.sweep, emit, opts_.sweep.pin_threads);
-    else
-      fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit);
-    return;
-  }
-  if (!opts_.parallel) {
-    fbmpk_power(split_, px, k, py, ws.fb, opts_.variant);
-    return;
-  }
-  if (opts_.scheduler == Scheduler::kLevels) {
-    if (use_level_engine())
-      fbmpk_level_engine_power(split_, levels_, level_sweep_schedule_, px, k,
-                               py, ws.sweep, opts_.sweep.pin_threads);
-    else
-      fbmpk_level_power(split_, levels_, px, k, py, ws.fb);
-  } else if (use_engine())
-    fbmpk_engine_power(split_, schedule_, sweep_schedule_, px, k, py,
-                       ws.sweep, opts_.sweep.pin_threads);
-  else
-    fbmpk_parallel_power(split_, schedule_, px, k, py, ws.fb);
+void MpkPlan::check_path(ExecPath path) const {
+  if (path != ExecPath::kEngine && path != ExecPath::kBarrier) return;
+  FBMPK_CHECK_CODE(opts_.parallel && !stages_.empty(),
+                   ErrorCode::kUnsupported,
+                   "engine/barrier execution override needs a scheduled "
+                   "parallel plan");
+  FBMPK_CHECK_CODE(path != ExecPath::kEngine ||
+                       opts_.sweep.sync == SweepSync::kPointToPoint,
+                   ErrorCode::kUnsupported,
+                   "engine execution override needs a plan built for "
+                   "point-to-point sync");
 }
 
-void MpkPlan::run_power_path(std::span<const double> px, int k,
-                             std::span<double> py, Workspace& ws,
-                             ExecPath path, RunControl* ctl) const {
-  if (k == 0) {
-    std::copy(px.begin(), px.end(), py.begin());
-    return;
-  }
-  double* yp = py.data();
-  auto emit = [&](int p, index_t i, double v) {
-    if (p == k) yp[i] = v;
-  };
-
+template <class TI, class Rows, class X0, class Emit>
+void MpkPlan::sweep_rows(const Rows& rows, const X0& x0, int k,
+                         FbWorkspace<TI>& serial_ws, SweepWorkspace<TI>& ws,
+                         Emit&& emit, ExecPath path, RunControl* ctl) const {
   if (path == ExecPath::kSerial || !opts_.parallel) {
     // Serial sweeps run outside any parallel region, so cancellation
     // can safely unwind via a typed Error from the emit wrapper. The
     // token is polled per row (one relaxed load); the heartbeat /
     // stall checkpoint fires once per k boundary.
     int last_p = 0;
-    auto cemit = [&](int p, index_t i, double v) {
+    auto cemit = [&](int p, index_t i, const TI& v) {
       if (ctl != nullptr) {
         if (p != last_p) {
           last_p = p;
@@ -329,55 +254,46 @@ void MpkPlan::run_power_path(std::span<const double> px, int k,
       }
       emit(p, i, v);
     };
-    if (use_dispatch())
-      fbmpk_sweep_btb_fast(split_, dispatch_rows(), px, k, ws.fb, cemit);
+    if constexpr (std::is_same_v<Rows, ScalarRows<double>>)
+      fbmpk_sweep(split_, x0, k, serial_ws, cemit, opts_.variant);
     else
-      fbmpk_sweep(split_, px, k, ws.fb, cemit, opts_.variant);
+      fbmpk_sweep_btb_fast(split_, rows, x0, k, serial_ws, cemit);
     return;
   }
-  if (opts_.scheduler == Scheduler::kLevels) {
-    // Scheduler-polymorphic rungs: kEngine forces the level engine,
-    // kBarrier the per-level barrier kernel (both poll ctl at stage
-    // boundaries). kDefault follows the plan's sync option.
-    const bool lengine = path == ExecPath::kEngine ||
-                         (path == ExecPath::kDefault && use_level_engine());
-    if (use_dispatch()) {
-      const DispatchRows rows = dispatch_rows();
-      if (lengine)
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, px, k, ws.sweep, emit,
-                                      opts_.sweep.pin_threads, ctl);
-      else
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit,
-                               ctl);
-    } else if (lengine) {
-      fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                    ScalarRows<double>(split_), px, k,
-                                    ws.sweep, emit, opts_.sweep.pin_threads,
-                                    ctl);
-    } else {
-      fbmpk_level_sweep_rows(split_, levels_, ScalarRows<double>(split_), px,
-                             k, ws.fb, emit, ctl);
-    }
+  const bool engine =
+      path == ExecPath::kEngine ||
+      (path == ExecPath::kDefault &&
+       opts_.sweep.sync == SweepSync::kPointToPoint);
+  if (!engine ||
+      !fbmpk_engine_try_sweep_rows(split_, stages_, rows, x0, k, ws,
+                                   opts_.sweep.pin_threads, emit, ctl))
+    fbmpk_barrier_sweep_rows(split_, stages_, rows, x0, k, ws, emit, ctl);
+}
+
+template <class Emit>
+void MpkPlan::sweep(std::span<const double> px, int k, Workspace& ws,
+                    Emit&& emit, ExecPath path, RunControl* ctl) const {
+  if (use_dispatch())
+    sweep_rows(dispatch_rows(), px, k, ws.fb, ws.sweep, emit, path, ctl);
+  else
+    sweep_rows(ScalarRows<double>(split_), px, k, ws.fb, ws.sweep, emit, path,
+               ctl);
+}
+
+void MpkPlan::run_power_path(std::span<const double> px, int k,
+                             std::span<double> py, Workspace& ws,
+                             ExecPath path, RunControl* ctl) const {
+  if (k == 0) {
+    std::copy(px.begin(), px.end(), py.begin());
     return;
   }
-  const bool engine = path == ExecPath::kEngine ||
-                      (path == ExecPath::kDefault && use_engine());
-  if (use_dispatch()) {
-    const DispatchRows rows = dispatch_rows();
-    if (engine)
-      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, px, k,
-                              ws.sweep, emit, opts_.sweep.pin_threads, ctl);
-    else
-      fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit,
-                                ctl);
-  } else if (engine) {
-    fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_,
-                            ScalarRows<double>(split_), px, k, ws.sweep, emit,
-                            opts_.sweep.pin_threads, ctl);
-  } else {
-    fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit, ctl);
-  }
+  double* yp = py.data();
+  sweep(
+      px, k, ws,
+      [&](int p, index_t i, double v) {
+        if (p == k) yp[i] = v;
+      },
+      path, ctl);
 }
 
 Status MpkPlan::try_power(std::span<const double> x, int k,
@@ -387,23 +303,7 @@ Status MpkPlan::try_power(std::span<const double> x, int k,
     FBMPK_CHECK(x.size() == static_cast<std::size_t>(n_));
     FBMPK_CHECK(y.size() == static_cast<std::size_t>(n_));
     FBMPK_CHECK(k >= 0);
-    if (path == ExecPath::kEngine || path == ExecPath::kBarrier) {
-      // Scheduler-polymorphic rungs: the override needs whichever
-      // schedule structure the plan's scheduler uses.
-      const bool levels = opts_.scheduler == Scheduler::kLevels;
-      FBMPK_CHECK_CODE(
-          opts_.parallel &&
-              (levels ? levels_.forward.num_levels > 0
-                      : !schedule_.block_ptr.empty()),
-          ErrorCode::kUnsupported,
-          "engine/barrier execution override needs a scheduled parallel "
-          "plan");
-      FBMPK_CHECK_CODE(
-          path != ExecPath::kEngine ||
-              (levels ? use_level_engine() : use_engine()),
-          ErrorCode::kUnsupported,
-          "plan carries no point-to-point sweep schedule");
-    }
+    check_path(path);
     if (ctl != nullptr && ctl->cancelled())
       return Status(FBMPK_MAKE_ERROR(ctl->cancel_reason(),
                                      "request cancelled before execution"));
@@ -450,70 +350,22 @@ Status MpkPlan::run_power_batch_chunk(const double* const* xs, int k,
     for (int b = 0; b < B; ++b) ys[b][dst] = v.v[b];
   };
 
-  if (path == ExecPath::kSerial || !opts_.parallel) {
-    // Serial batched sweep. Cancellation unwinds via a typed Error from
-    // the emit wrapper, as in run_power_path.
-    FbWorkspace<P> fbws;
-    int last_p = 0;
-    auto cemit = [&](int p, index_t i, const P& v) {
-      if (ctl != nullptr) {
-        if (p != last_p) {
-          last_p = p;
-          (void)ctl->checkpoint();
-        }
-        if (ctl->cancelled())
-          throw Error(ctl->cancel_reason(), "batched serial sweep cancelled");
-      }
-      emit(p, i, v);
-    };
-    if (use_dispatch())
-      fbmpk_sweep_btb_fast(split_,
-                           make_batch_dispatch_rows<B>(
-                               split_, opts_.index_compress ? &packed_ : nullptr,
-                               &values_, batch_row_kernels(resolved_backend_),
-                               opts_.prefetch_dist),
-                           x0, k, fbws, cemit);
-    else
-      fbmpk_sweep_btb_fast(split_, BatchScalarRows<B>(split_), x0, k, fbws,
-                           cemit);
-    return Status();
-  }
-
-  const bool levels = opts_.scheduler == Scheduler::kLevels;
-  const bool engine =
-      path == ExecPath::kEngine ||
-      (path == ExecPath::kDefault &&
-       (levels ? use_level_engine() : use_engine()));
-  const auto run = [&](const auto& rows) {
-    if (engine) {
-      SweepWorkspace<P> swws;
-      // Per-call workspace: skip the NUMA warm pass (the matrix arrays
-      // are typically resident from prior single-vector runs, and the
-      // head stage first-touches xy regardless).
-      swws.resize(n_);
-      swws.warmed = true;
-      if (levels)
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, x0, k, swws, emit,
-                                      opts_.sweep.pin_threads, ctl);
-      else
-        fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, x0,
-                                k, swws, emit, opts_.sweep.pin_threads, ctl);
-    } else {
-      FbWorkspace<P> fbws;
-      if (levels)
-        fbmpk_level_sweep_rows(split_, levels_, rows, x0, k, fbws, emit, ctl);
-      else
-        fbmpk_parallel_sweep_rows(split_, schedule_, rows, x0, k, fbws, emit,
-                                  ctl);
-    }
-  };
+  // Skip the NUMA warm pass: the matrix arrays are typically resident
+  // from prior single-vector runs, and the head stage first-touches xy
+  // regardless.
+  FbWorkspace<P> serial_ws;
+  SweepWorkspace<P> ws;
+  ws.resize(n_);
+  ws.warmed = true;
   if (use_dispatch())
-    run(make_batch_dispatch_rows<B>(
-        split_, opts_.index_compress ? &packed_ : nullptr, &values_,
-        batch_row_kernels(resolved_backend_), opts_.prefetch_dist));
+    sweep_rows(make_batch_dispatch_rows<B>(
+                   split_, opts_.index_compress ? &packed_ : nullptr,
+                   &values_, batch_row_kernels(resolved_backend_),
+                   opts_.prefetch_dist),
+               x0, k, serial_ws, ws, emit, path, ctl);
   else
-    run(BatchScalarRows<B>(split_));
+    sweep_rows(BatchScalarRows<B>(split_), x0, k, serial_ws, ws, emit, path,
+               ctl);
   return Status();
 }
 
@@ -524,21 +376,7 @@ Status MpkPlan::try_power_batch(const double* const* xs, index_t nvec, int k,
     FBMPK_CHECK(xs != nullptr && ys != nullptr);
     FBMPK_CHECK(nvec >= 1);
     FBMPK_CHECK(k >= 0);
-    if (path == ExecPath::kEngine || path == ExecPath::kBarrier) {
-      const bool levels = opts_.scheduler == Scheduler::kLevels;
-      FBMPK_CHECK_CODE(
-          opts_.parallel &&
-              (levels ? levels_.forward.num_levels > 0
-                      : !schedule_.block_ptr.empty()),
-          ErrorCode::kUnsupported,
-          "engine/barrier execution override needs a scheduled parallel "
-          "plan");
-      FBMPK_CHECK_CODE(
-          path != ExecPath::kEngine ||
-              (levels ? use_level_engine() : use_engine()),
-          ErrorCode::kUnsupported,
-          "plan carries no point-to-point sweep schedule");
-    }
+    check_path(path);
     if (ctl != nullptr && ctl->cancelled())
       return Status(FBMPK_MAKE_ERROR(ctl->cancel_reason(),
                                      "request cancelled before execution"));
@@ -596,40 +434,9 @@ void MpkPlan::run_power_all(std::span<const double> px, int k,
   std::copy(px.begin(), px.end(), pout.begin());
   if (k == 0) return;
   double* op = pout.data();
-  auto emit = [&](int p, index_t i, double v) {
+  sweep(px, k, ws, [&](int p, index_t i, double v) {
     op[static_cast<std::size_t>(p) * n + i] = v;
-  };
-  if (use_dispatch()) {
-    const DispatchRows rows = dispatch_rows();
-    if (!opts_.parallel)
-      fbmpk_sweep_btb_fast(split_, rows, px, k, ws.fb, emit);
-    else if (opts_.scheduler == Scheduler::kLevels) {
-      if (use_level_engine())
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, px, k, ws.sweep, emit,
-                                      opts_.sweep.pin_threads);
-      else
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit);
-    } else if (use_engine())
-      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, px, k,
-                              ws.sweep, emit, opts_.sweep.pin_threads);
-    else
-      fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit);
-    return;
-  }
-  if (!opts_.parallel)
-    fbmpk_sweep(split_, px, k, ws.fb, emit, opts_.variant);
-  else if (opts_.scheduler == Scheduler::kLevels) {
-    if (use_level_engine())
-      fbmpk_level_engine_sweep(split_, levels_, level_sweep_schedule_, px, k,
-                               ws.sweep, emit, opts_.sweep.pin_threads);
-    else
-      fbmpk_level_sweep(split_, levels_, px, k, ws.fb, emit);
-  } else if (use_engine())
-    fbmpk_engine_sweep(split_, schedule_, sweep_schedule_, px, k, ws.sweep,
-                       emit, opts_.sweep.pin_threads);
-  else
-    fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit);
+  });
 }
 
 void MpkPlan::run_polynomial(std::span<const double> coeffs,
@@ -640,38 +447,7 @@ void MpkPlan::run_polynomial(std::span<const double> coeffs,
   if (k == 0) return;
   double* yp = py.data();
   const double* cp = coeffs.data();
-  auto emit = [&](int p, index_t i, double v) { yp[i] += cp[p] * v; };
-  if (use_dispatch()) {
-    const DispatchRows rows = dispatch_rows();
-    if (!opts_.parallel)
-      fbmpk_sweep_btb_fast(split_, rows, px, k, ws.fb, emit);
-    else if (opts_.scheduler == Scheduler::kLevels) {
-      if (use_level_engine())
-        fbmpk_level_engine_sweep_rows(split_, levels_, level_sweep_schedule_,
-                                      rows, px, k, ws.sweep, emit,
-                                      opts_.sweep.pin_threads);
-      else
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit);
-    } else if (use_engine())
-      fbmpk_engine_sweep_rows(split_, schedule_, sweep_schedule_, rows, px, k,
-                              ws.sweep, emit, opts_.sweep.pin_threads);
-    else
-      fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb, emit);
-    return;
-  }
-  if (!opts_.parallel)
-    fbmpk_sweep(split_, px, k, ws.fb, emit, opts_.variant);
-  else if (opts_.scheduler == Scheduler::kLevels) {
-    if (use_level_engine())
-      fbmpk_level_engine_sweep(split_, levels_, level_sweep_schedule_, px, k,
-                               ws.sweep, emit, opts_.sweep.pin_threads);
-    else
-      fbmpk_level_sweep(split_, levels_, px, k, ws.fb, emit);
-  } else if (use_engine())
-    fbmpk_engine_sweep(split_, schedule_, sweep_schedule_, px, k, ws.sweep,
-                       emit, opts_.sweep.pin_threads);
-  else
-    fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit);
+  sweep(px, k, ws, [&](int p, index_t i, double v) { yp[i] += cp[p] * v; });
 }
 
 void MpkPlan::power(std::span<const double> x, int k, std::span<double> y,
@@ -682,13 +458,13 @@ void MpkPlan::power(std::span<const double> x, int k, std::span<double> y,
   FBMPK_TSPAN_ARGS(kSweep, "plan.power", {.k = k});
   FBMPK_TCOUNT("plan.power_calls", 1);
   if (perm_.is_identity()) {
-    run_power(x, k, y, ws);
+    run_power_path(x, k, y, ws, ExecPath::kDefault, nullptr);
     return;
   }
   ws.px.resize(x.size());
   ws.py.resize(y.size());
   permute_vector<double>(perm_, x, ws.px);
-  run_power(ws.px, k, ws.py, ws);
+  run_power_path(ws.px, k, ws.py, ws, ExecPath::kDefault, nullptr);
   unpermute_vector<double>(perm_, ws.py, y);
 }
 
@@ -771,16 +547,12 @@ KernelStatus MpkPlan::recurrence(std::span<const RecurrenceStep<double>> steps,
     auto emit = [&](int p, index_t i, double v) {
       if (p == k) yp[i] = v;
     };
-    if (opts_.parallel)
-      // The level scheduler has no recurrence kernel; the ABMC schedule
-      // is always available on parallel plans built with it disabled…
-      // for kLevels plans fall back to the serial sweep (identical
-      // numerics, no parallelism).
-      if (opts_.scheduler == Scheduler::kAbmc)
-        fbmpk_recurrence_parallel_sweep(split_, schedule_, steps, px, ws.fb,
-                                        emit);
-      else
-        fbmpk_recurrence_sweep(split_, steps, px, ws.fb, emit);
+    // The recurrence runs on the ABMC coloring, which any reordered plan
+    // carries (the split is permuted by it whichever scheduler built the
+    // stage schedule); otherwise serial, with identical numerics.
+    if (opts_.parallel && !schedule_.block_ptr.empty())
+      fbmpk_recurrence_parallel_sweep(split_, schedule_, steps, px, ws.fb,
+                                      emit);
     else
       fbmpk_recurrence_sweep(split_, steps, px, ws.fb, emit);
   };
@@ -827,22 +599,7 @@ void MpkPlan::polynomial(std::span<const std::complex<double>> coeffs,
   for (std::size_t i = 0; i < n; ++i) acc[i] = coeffs[0] * px[i];
   if (k >= 1) {
     const std::complex<double>* cp = coeffs.data();
-    auto emit = [&](int p, index_t i, double v) { acc[i] += cp[p] * v; };
-    if (use_dispatch()) {
-      const DispatchRows rows = dispatch_rows();
-      if (!opts_.parallel)
-        fbmpk_sweep_btb_fast(split_, rows, px, k, ws.fb, emit);
-      else if (opts_.scheduler == Scheduler::kLevels)
-        fbmpk_level_sweep_rows(split_, levels_, rows, px, k, ws.fb, emit);
-      else
-        fbmpk_parallel_sweep_rows(split_, schedule_, rows, px, k, ws.fb,
-                                  emit);
-    } else if (!opts_.parallel)
-      fbmpk_sweep(split_, px, k, ws.fb, emit, opts_.variant);
-    else if (opts_.scheduler == Scheduler::kLevels)
-      fbmpk_level_sweep(split_, levels_, px, k, ws.fb, emit);
-    else
-      fbmpk_parallel_sweep(split_, schedule_, px, k, ws.fb, emit);
+    sweep(px, k, ws, [&](int p, index_t i, double v) { acc[i] += cp[p] * v; });
   }
 
   if (perm_.is_identity())

@@ -25,15 +25,13 @@
 
 #include "kernels/fb_simd.hpp"
 #include "kernels/fbmpk.hpp"
-#include "kernels/fbmpk_level.hpp"
-#include "kernels/fbmpk_level_engine.hpp"
 #include "kernels/fbmpk_parallel.hpp"
 #include "kernels/fbmpk_recurrence.hpp"
-#include "kernels/sweep_schedule.hpp"
 #include "sparse/packed_tri.hpp"
 #include "reorder/abmc.hpp"
 #include "reorder/level_blocking.hpp"
 #include "reorder/permutation.hpp"
+#include "reorder/stage_schedule.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/split.hpp"
 #include "sparse/validate.hpp"
@@ -49,14 +47,14 @@ namespace detail {
 MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size);
 }  // namespace detail
 
-/// How the parallel sweeps are scheduled.
+/// Which front-end builds the parallel plan's stage schedule
+/// (reorder/stage_schedule.hpp).
 enum class Scheduler {
-  kAbmc,    ///< ABMC coloring (paper §III-D): permutes the matrix,
-            ///< few barriers (2 x colors per pair)
+  kAbmc,    ///< ABMC coloring (paper §III-D): permutes the matrix; one
+            ///< stage per color and direction (2 x colors per pair)
   kLevels,  ///< level scheduling (paper §VII): original order, no
-            ///< permutation; cache-blocked stages with point-to-point
-            ///< sync (reorder/level_blocking.hpp), or one barrier per
-            ///< dependency level under SweepSync::kBarrier
+            ///< permutation; cache-blocked runs of dependency levels
+            ///< become stages (reorder/level_blocking.hpp)
   kAuto,    ///< resolved at build: a structural probe (mean level
             ///< width vs thread count) in MpkPlan::build, a measured
             ///< pick (autotune_scheduler) in build_autotuned_plan.
@@ -75,29 +73,27 @@ Scheduler parse_scheduler(const std::string& name);
 /// runs whatever the plan options selected; the explicit rungs force
 /// one concrete sweep implementation. All rungs issue the same per-row
 /// kernels, so results are bitwise identical across them for a fixed
-/// plan configuration.
-/// The rungs are scheduler-polymorphic: on an ABMC plan kEngine /
-/// kBarrier mean the color engine / per-color barrier kernel, on a
-/// level-scheduled plan the level engine / per-level barrier kernel.
+/// plan configuration. Both parallel rungs run the plan's stage
+/// schedule, whichever scheduler built it.
 enum class ExecPath {
   kDefault = 0,  ///< the plan's own selection (options-driven)
-  kEngine,       ///< persistent-threads p2p engine (needs a schedule)
-  kBarrier,      ///< barrier kernel (per color or per level)
+  kEngine,       ///< persistent-threads p2p engine (kPointToPoint plans)
+  kBarrier,      ///< one team barrier per stage (any parallel plan)
   kSerial,       ///< serial sweep (always available)
 };
 
-/// How a scheduled parallel sweep synchronizes between units of work
-/// (colors under ABMC, level stages under the level scheduler).
+/// How the parallel sweep synchronizes between the stages of the
+/// plan's schedule.
 enum class SweepSync {
-  kBarrier,       ///< one team barrier per color/level per sweep
-  kPointToPoint,  ///< persistent threads, per-thread epoch counters,
-                  ///< precomputed schedule (docs/PARALLELISM.md)
+  kBarrier,       ///< one team barrier per stage
+  kPointToPoint,  ///< persistent threads, per-thread epoch counters
+                  ///< (docs/PARALLELISM.md)
 };
 
-/// Persistent-threads engine options (both schedulers).
+/// Parallel sweep options (both schedulers).
 struct SweepOptions {
   SweepSync sync = SweepSync::kBarrier;
-  /// Thread count the schedule is built for; 0 means the runtime
+  /// Thread count the stage schedule is built for; 0 means the runtime
   /// default (max_threads()) at build time. A loaded plan whose stored
   /// count differs from the runtime default is rebuilt transparently.
   index_t threads = 0;
@@ -209,9 +205,9 @@ struct PlanStats {
   double reorder_seconds = 0.0;  ///< ABMC portion of the above
   index_t num_blocks = 0;
   index_t num_colors = 0;
-  index_t num_levels_forward = 0;   ///< level scheduler only
-  index_t num_levels_backward = 0;  ///< level scheduler only
-  index_t sweep_threads = 0;  ///< point-to-point engine only
+  index_t num_levels_forward = 0;   ///< dependency levels; 0 for ABMC
+  index_t num_levels_backward = 0;  ///< dependency levels; 0 for ABMC
+  index_t sweep_threads = 0;  ///< stage schedule threads; 0 when serial
   std::size_t storage_bytes = 0;  ///< bytes held by L + U + d
   /// Bytes of the compressed column sidecar (0 when index_compress is
   /// off). Compare against 2 * nnz(L) … see perf/traffic_model.
@@ -224,8 +220,8 @@ class MpkPlan {
  public:
   /// Scratch vectors for one concurrent run stream.
   struct Workspace {
-    FbWorkspace<double> fb;
-    SweepWorkspace<double> sweep;  ///< point-to-point engine scratch
+    FbWorkspace<double> fb;        ///< serial sweep scratch
+    SweepWorkspace<double> sweep;  ///< parallel (stage schedule) scratch
     AlignedVector<double> px;  ///< permuted input
     AlignedVector<double> py;  ///< permuted output
   };
@@ -242,13 +238,8 @@ class MpkPlan {
   const PlanStats& stats() const { return stats_; }
   const Permutation& permutation() const { return perm_; }
   const AbmcOrdering& schedule() const { return schedule_; }
-  const SweepSchedule& sweep_schedule() const { return sweep_schedule_; }
-  /// Dependency levels (populated for level-scheduled plans).
-  const LevelSchedulePair& levels() const { return levels_; }
-  /// Level-blocked p2p schedule (level scheduler + kPointToPoint only).
-  const LevelSweepSchedule& level_sweep_schedule() const {
-    return level_sweep_schedule_;
-  }
+  /// Stage schedule both parallel rungs run (empty for serial plans).
+  const StageSchedule& stage_schedule() const { return stages_; }
   const TriangularSplit<double>& split() const { return split_; }
   const PackedSplitIndex& packed_index() const { return packed_; }
   /// Reduced-precision value sidecar (empty for fp64 plans).
@@ -308,9 +299,9 @@ class MpkPlan {
 
   /// Three-term recurrence x_p = a_p A x_{p-1} + b_p x_{p-1} +
   /// c_p x_{p-2} (x_{-1} = 0): y = x_k with k = steps.size(). Covers
-  /// Chebyshev-stable polynomial bases at FBMPK traffic. Serial and
-  /// ABMC-scheduled plans only (the level scheduler falls back to the
-  /// ABMC/serial path by construction of the options). Returns a
+  /// Chebyshev-stable polynomial bases at FBMPK traffic. Runs the
+  /// ABMC-colored parallel sweep on parallel plans that carry an ABMC
+  /// ordering (reorder on) and the serial sweep otherwise. Returns a
   /// breakdown status instead of propagating NaN: non-finite inputs
   /// are rejected before the sweep, non-finite iterates are reported
   /// after it (y is written either way).
@@ -337,14 +328,11 @@ class MpkPlan {
   friend MpkPlan load_plan(std::istream&);
   friend MpkPlan detail::load_plan_impl(std::istream&, std::uint64_t);
 
-  bool use_engine() const {
-    return opts_.sweep.sync == SweepSync::kPointToPoint &&
-           !sweep_schedule_.empty();
-  }
-  bool use_level_engine() const {
-    return opts_.sweep.sync == SweepSync::kPointToPoint &&
-           !level_sweep_schedule_.empty();
-  }
+  /// The scheduler's front-end: build the stage schedule for `threads`
+  /// threads from the split (and, for ABMC, the ordering).
+  StageSchedule build_stages(index_t threads);
+  /// kUnsupported unless this plan can run the forced `path`.
+  void check_path(ExecPath path) const;
   /// True when the sweeps route through the runtime-dispatched row
   /// kernels (non-scalar backend and/or compressed indices) instead of
   /// the exact fb_detail path.
@@ -355,8 +343,20 @@ class MpkPlan {
   }
   DispatchRows dispatch_rows() const;
 
-  void run_power(std::span<const double> px, int k, std::span<double> py,
-                 Workspace& ws) const;
+  /// The one sweep behind every run method: serial, barrier rung or
+  /// engine rung per `path` and the plan's options, over row policy
+  /// `rows` (the engine falls back to the barrier rung when it cannot
+  /// run). emit(p, i, v) receives every power p in [1, k].
+  template <class TI, class Rows, class X0, class Emit>
+  void sweep_rows(const Rows& rows, const X0& x0, int k,
+                  FbWorkspace<TI>& serial_ws, SweepWorkspace<TI>& ws,
+                  Emit&& emit, ExecPath path, RunControl* ctl) const;
+  /// sweep_rows over the plan's single-vector row policy.
+  template <class Emit>
+  void sweep(std::span<const double> px, int k, Workspace& ws, Emit&& emit,
+             ExecPath path = ExecPath::kDefault,
+             RunControl* ctl = nullptr) const;
+
   void run_power_path(std::span<const double> px, int k,
                       std::span<double> py, Workspace& ws, ExecPath path,
                       RunControl* ctl) const;
@@ -375,9 +375,7 @@ class MpkPlan {
   PlanStats stats_;
   Permutation perm_;         ///< identity when reorder is off
   AbmcOrdering schedule_;    ///< empty when reorder is off
-  LevelSchedulePair levels_; ///< populated for the level scheduler
-  SweepSchedule sweep_schedule_;  ///< ABMC point-to-point sync only
-  LevelSweepSchedule level_sweep_schedule_;  ///< levels p2p sync only
+  StageSchedule stages_;     ///< empty for serial plans
   TriangularSplit<double> split_;
   PackedSplitIndex packed_;  ///< populated when index_compress is on
   PackedSplitValues values_; ///< populated when value_precision != fp64

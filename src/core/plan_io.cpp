@@ -19,7 +19,7 @@ namespace fbmpk {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Format v3 (see docs/ROBUSTNESS.md):
+// Format v8 (see docs/ROBUSTNESS.md):
 //
 //   [ magic "FBMPKPLN" | u32 version | u32 index_width |
 //     u64 payload_size | u32 payload_crc32 ]  -- fixed header
@@ -35,41 +35,25 @@ namespace {
 // a truncated or bit-flipped plan file can never reach undefined
 // behavior or silently load.
 //
-// v3 added the sweep-engine options to OPTS, the SWEP section (the
-// persistent-threads SweepSchedule), and the sweep_threads stats
-// field. v4 added the kernel-backend / index-compression / prefetch
-// options to OPTS, the packed_index_bytes stats field, and the PCKD
-// section (both triangles' compressed column sidecars). v5 added the
-// value_precision option to OPTS, the packed_value_bytes stats field,
-// the VALP section (reduced-precision value sidecars for L/U/diag),
-// and the TUNE section (the persisted autotune choice). v1-v3 files
-// are rejected with kVersionMismatch; v4 files still load (precision
-// defaults to fp64, tuned config to never-tuned). A loaded schedule is
-// structurally re-validated (validate_sweep_schedule) and rebuilt from
-// the split when its stored thread count does not match the runtime's;
-// a loaded packed sidecar is decode-compared against the split's
-// column stream, and a loaded value sidecar is re-encoded from the
-// split's fp64 values and compared bitwise (any mismatch ->
-// kCorruptPlan). A loaded tuned config is revalidated against the
-// executing machine (tuned_config_stale) rather than trusted.
-// v6 added the autotune_oracle option to OPTS and the oracle
-// provenance fields (predicted bytes, candidates scored/timed, winner
-// rank) to TUNE; v4/v5 files still load with the oracle defaults
-// (option on, provenance absent).
-// v7 appended the level-blocked point-to-point schedule
-// (LevelSweepSchedule, reorder/level_blocking.hpp) to LVLS and the
-// scheduler-race provenance (scheduler, scheduler_measured,
-// scheduler_alt_seconds) to TUNE. v4-v6 files still load: a
-// level-scheduled point-to-point plan missing the blocked schedule has
-// it rebuilt from the (validated) split, exactly like a
-// thread-count-mismatched SWEP. A loaded blocked schedule is
-// structurally re-validated against the split
-// (validate_level_sweep_schedule); any violation -> kCorruptPlan.
+// Sections: OPTS (plan options), STAT (PlanStats), PERM, SCHD (the ABMC
+// ordering), STGS (the stage schedule both parallel rungs run, empty
+// for serial plans), SPLT (triangles + diagonal), PCKD (compressed
+// column sidecars), VALP (reduced-precision value sidecars) and TUNE
+// (the persisted autotune choice with oracle and scheduler-race
+// provenance). Plans are cache artifacts: files of any other version
+// fail with kVersionMismatch and are rebuilt by their owner (PlanCache
+// does so on any load failure). A loaded stage schedule is re-validated
+// edge by edge against the split (validate_stage_schedule) and rebuilt
+// when its stored thread count does not match the runtime's; a loaded
+// packed sidecar is decode-compared against the split's column stream,
+// and a loaded value sidecar is re-encoded from the split's fp64 values
+// and compared bitwise (any mismatch -> kCorruptPlan). A loaded tuned
+// config is revalidated against the executing machine
+// (tuned_config_stale) rather than trusted.
 // ---------------------------------------------------------------------------
 
 constexpr char kMagic[8] = {'F', 'B', 'M', 'P', 'K', 'P', 'L', 'N'};
-constexpr std::uint32_t kVersion = 7;
-constexpr std::uint32_t kMinVersion = 4;  // oldest still-loadable format
+constexpr std::uint32_t kVersion = 8;
 
 // Section tags, in the order they are written.
 enum : std::uint32_t {
@@ -77,27 +61,11 @@ enum : std::uint32_t {
   kSecStats = 0x53544154,     // 'STAT'
   kSecPerm = 0x5045524D,      // 'PERM'
   kSecSchedule = 0x53434844,  // 'SCHD'
-  kSecSweep = 0x53574550,     // 'SWEP'
-  kSecLevels = 0x4C564C53,    // 'LVLS'
+  kSecStages = 0x53544753,    // 'STGS'
   kSecSplit = 0x53504C54,     // 'SPLT'
   kSecPacked = 0x50434B44,    // 'PCKD'
-  kSecValues = 0x56414C50,    // 'VALP' (v5)
-  kSecTuned = 0x54554E45,     // 'TUNE' (v5)
-};
-
-/// The exact PlanStats layout v4 plans were written with (raw memcpy
-/// of the struct). v5 appended packed_value_bytes; reading a v4 STAT
-/// section must use the old shape or the frame length check fails.
-struct PlanStatsV4 {
-  double build_seconds = 0.0;
-  double reorder_seconds = 0.0;
-  index_t num_blocks = 0;
-  index_t num_colors = 0;
-  index_t num_levels_forward = 0;
-  index_t num_levels_backward = 0;
-  index_t sweep_threads = 0;
-  std::size_t storage_bytes = 0;
-  std::size_t packed_index_bytes = 0;
+  kSecValues = 0x56414C50,    // 'VALP'
+  kSecTuned = 0x54554E45,     // 'TUNE'
 };
 
 // Serialized payloads are bounded: a section or vector claiming more
@@ -282,54 +250,22 @@ CsrMatrix<double> read_csr(BlobReader& r) {
   }
 }
 
-void write_level_schedule(BlobWriter& w, const LevelSchedule& s) {
-  w.pod(s.num_levels);
-  w.vec(s.level_ptr);
-  w.vec(s.rows);
-}
-
-LevelSchedule read_level_schedule(BlobReader& r) {
-  LevelSchedule s;
-  s.num_levels = r.pod<index_t>();
-  s.level_ptr = r.vec<std::vector<index_t>>();
-  s.rows = r.vec<std::vector<index_t>>();
-  FBMPK_CHECK_CODE(
-      s.num_levels >= 0 &&
-          (s.level_ptr.empty()
-               ? s.num_levels == 0 && s.rows.empty()
-               : s.level_ptr.size() ==
-                     static_cast<std::size_t>(s.num_levels) + 1),
-      ErrorCode::kCorruptPlan, "level schedule shape mismatch");
-  if (!s.level_ptr.empty()) {
-    FBMPK_CHECK_CODE(s.level_ptr.front() == 0 &&
-                         s.level_ptr.back() ==
-                             static_cast<index_t>(s.rows.size()),
-                     ErrorCode::kCorruptPlan,
-                     "level schedule pointer endpoints invalid");
-    for (std::size_t i = 1; i < s.level_ptr.size(); ++i)
-      FBMPK_CHECK_CODE(s.level_ptr[i - 1] <= s.level_ptr[i],
-                       ErrorCode::kCorruptPlan,
-                       "level schedule pointers not monotone");
-  }
-  return s;
-}
-
-void write_level_direction(BlobWriter& w, const LevelBlockDirection& d) {
+void write_direction(BlobWriter& w, const StageDirection& d) {
   w.pod(d.num_stages);
-  w.vec(d.stage_level_ptr);
-  w.vec(d.part_ptr);
-  w.vec(d.part_rows);
+  w.vec(d.range_ptr);
+  w.vec(d.ranges);
+  w.vec(d.dep_ptr);
+  w.vec(d.deps);
   w.vec(d.load);
 }
 
-LevelBlockDirection read_level_direction(BlobReader& r) {
-  LevelBlockDirection d;
+StageDirection read_direction(BlobReader& r) {
+  StageDirection d;
   d.num_stages = r.pod<index_t>();
-  FBMPK_CHECK_CODE(d.num_stages >= 0, ErrorCode::kCorruptPlan,
-                   "negative level stage count in plan");
-  d.stage_level_ptr = r.vec<std::vector<index_t>>();
-  d.part_ptr = r.vec<std::vector<index_t>>();
-  d.part_rows = r.vec<std::vector<index_t>>();
+  d.range_ptr = r.vec<std::vector<index_t>>();
+  d.ranges = r.vec<std::vector<RowRange>>();
+  d.dep_ptr = r.vec<std::vector<index_t>>();
+  d.deps = r.vec<std::vector<StageDep>>();
   d.load = r.vec<std::vector<index_t>>();
   return d;
 }
@@ -447,36 +383,16 @@ void save_plan(const MpkPlan& plan, std::ostream& out) {
   w.vec(plan.schedule_.block_ptr);
   w.vec(plan.schedule_.color_ptr);
 
-  w.begin_section(kSecSweep);
-  const SweepSchedule& ss = plan.sweep_schedule_;
+  w.begin_section(kSecStages);
+  const StageSchedule& ss = plan.stages_;
   w.pod(ss.num_threads);
-  w.pod(ss.num_colors);
-  w.pod(ss.num_blocks);
-  w.vec(ss.part_ptr);
-  w.vec(ss.part_blocks);
-  w.vec(ss.fwd_dep_ptr);
-  w.vec(ss.fwd_deps);
-  w.vec(ss.bwd_dep_ptr);
-  w.vec(ss.bwd_deps);
-  w.vec(ss.all_dep_ptr);
-  w.vec(ss.all_deps);
-  w.vec(ss.load);
-
-  w.begin_section(kSecLevels);
-  write_level_schedule(w, plan.levels_.forward);
-  write_level_schedule(w, plan.levels_.backward);
-  // v7: the level-blocked point-to-point schedule rides in the same
-  // section (empty for ABMC or barrier-sync plans).
-  const LevelSweepSchedule& ls = plan.level_sweep_schedule_;
-  w.pod(ls.num_threads);
-  write_level_direction(w, ls.fwd);
-  write_level_direction(w, ls.bwd);
-  w.vec(ls.fwd_dep_ptr);
-  w.vec(ls.fwd_deps);
-  w.vec(ls.bwd_dep_ptr);
-  w.vec(ls.bwd_deps);
-  w.vec(ls.bwd_fdep_ptr);
-  w.vec(ls.bwd_fdeps);
+  w.pod(ss.num_rows);
+  write_direction(w, ss.fwd);
+  write_direction(w, ss.bwd);
+  w.vec(ss.edge_dep_ptr);
+  w.vec(ss.edge_deps);
+  w.vec(ss.pair_dep_ptr);
+  w.vec(ss.pair_deps);
 
   w.begin_section(kSecSplit);
   write_csr(w, plan.split_.lower);
@@ -554,14 +470,11 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
   FBMPK_CHECK_CODE(in.good(), ErrorCode::kCorruptPlan,
                    "truncated plan header");
-  FBMPK_CHECK_CODE(version >= kMinVersion && version <= kVersion,
-                   ErrorCode::kVersionMismatch,
+  FBMPK_CHECK_CODE(version == kVersion, ErrorCode::kVersionMismatch,
                    "unsupported plan version "
-                       << version << " (this build reads versions "
-                       << kMinVersion << "-" << kVersion
-                       << "; older files predate the checksum, the sweep "
-                       << "schedule, or the packed-index section and must "
-                       << "be regenerated)");
+                       << version << " (this build reads version "
+                       << kVersion << "; plans are cache artifacts, "
+                       << "rebuild it from the matrix)");
   in.read(reinterpret_cast<char*>(&index_width), sizeof(index_width));
   in.read(reinterpret_cast<char*>(&payload_size), sizeof(payload_size));
   in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc));
@@ -654,28 +567,13 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
       plan.opts_.prefetch_dist >= 0 && plan.opts_.prefetch_dist <= 1024,
       ErrorCode::kCorruptPlan,
       "prefetch distance out of range in plan: " << plan.opts_.prefetch_dist);
-  if (version >= 5)
-    plan.opts_.value_precision =
-        r.enumeration<ValuePrecision>(3, "value precision");
-  if (version >= 6) plan.opts_.autotune_oracle = r.boolean();
+  plan.opts_.value_precision =
+      r.enumeration<ValuePrecision>(3, "value precision");
+  plan.opts_.autotune_oracle = r.boolean();
   r.end_section(sec, "options");
 
   sec = r.begin_section(kSecStats, "stats");
-  if (version >= 5) {
-    plan.stats_ = r.pod<PlanStats>();
-  } else {
-    const auto s4 = r.pod<PlanStatsV4>();
-    plan.stats_.build_seconds = s4.build_seconds;
-    plan.stats_.reorder_seconds = s4.reorder_seconds;
-    plan.stats_.num_blocks = s4.num_blocks;
-    plan.stats_.num_colors = s4.num_colors;
-    plan.stats_.num_levels_forward = s4.num_levels_forward;
-    plan.stats_.num_levels_backward = s4.num_levels_backward;
-    plan.stats_.sweep_threads = s4.sweep_threads;
-    plan.stats_.storage_bytes = s4.storage_bytes;
-    plan.stats_.packed_index_bytes = s4.packed_index_bytes;
-    plan.stats_.packed_value_bytes = 0;
-  }
+  plan.stats_ = r.pod<PlanStats>();
   r.end_section(sec, "stats");
 
   sec = r.begin_section(kSecPerm, "permutation");
@@ -711,50 +609,21 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   plan.schedule_.perm = plan.perm_;
   r.end_section(sec, "schedule");
 
-  sec = r.begin_section(kSecSweep, "sweep");
-  SweepSchedule& ss = plan.sweep_schedule_;
+  sec = r.begin_section(kSecStages, "stage schedule");
+  StageSchedule& ss = plan.stages_;
   ss.num_threads = r.pod<index_t>();
-  ss.num_colors = r.pod<index_t>();
-  ss.num_blocks = r.pod<index_t>();
-  ss.part_ptr = r.vec<std::vector<index_t>>();
-  ss.part_blocks = r.vec<std::vector<index_t>>();
-  ss.fwd_dep_ptr = r.vec<std::vector<index_t>>();
-  ss.fwd_deps = r.vec<std::vector<SweepDep>>();
-  ss.bwd_dep_ptr = r.vec<std::vector<index_t>>();
-  ss.bwd_deps = r.vec<std::vector<SweepDep>>();
-  ss.all_dep_ptr = r.vec<std::vector<index_t>>();
-  ss.all_deps = r.vec<std::vector<index_t>>();
-  ss.load = r.vec<std::vector<index_t>>();
+  ss.num_rows = r.pod<index_t>();
+  ss.fwd = read_direction(r);
+  ss.bwd = read_direction(r);
+  ss.edge_dep_ptr = r.vec<std::vector<index_t>>();
+  ss.edge_deps = r.vec<std::vector<index_t>>();
+  ss.pair_dep_ptr = r.vec<std::vector<index_t>>();
+  ss.pair_deps = r.vec<std::vector<index_t>>();
   FBMPK_CHECK_CODE(ss.num_threads >= 0, ErrorCode::kCorruptPlan,
-                   "negative sweep schedule thread count in plan");
-  FBMPK_CHECK_CODE(ss.empty() || validate_sweep_schedule(ss, plan.schedule_),
-                   ErrorCode::kCorruptPlan,
-                   "sweep schedule fails structural validation");
-  r.end_section(sec, "sweep");
-
-  sec = r.begin_section(kSecLevels, "levels");
-  plan.levels_.forward = read_level_schedule(r);
-  plan.levels_.backward = read_level_schedule(r);
-  if (version >= 7) {
-    LevelSweepSchedule& ls = plan.level_sweep_schedule_;
-    ls.num_threads = r.pod<index_t>();
-    FBMPK_CHECK_CODE(ls.num_threads >= 0, ErrorCode::kCorruptPlan,
-                     "negative level schedule thread count in plan");
-    ls.fwd = read_level_direction(r);
-    ls.bwd = read_level_direction(r);
-    ls.fwd_dep_ptr = r.vec<std::vector<index_t>>();
-    ls.fwd_deps = r.vec<std::vector<LevelDep>>();
-    ls.bwd_dep_ptr = r.vec<std::vector<index_t>>();
-    ls.bwd_deps = r.vec<std::vector<LevelDep>>();
-    ls.bwd_fdep_ptr = r.vec<std::vector<index_t>>();
-    ls.bwd_fdeps = r.vec<std::vector<LevelDep>>();
-    FBMPK_CHECK_CODE(
-        ls.empty() || (plan.opts_.parallel &&
-                       plan.opts_.scheduler == Scheduler::kLevels),
-        ErrorCode::kCorruptPlan,
-        "plan carries a level-blocked schedule but is not level-scheduled");
-  }
-  r.end_section(sec, "levels");
+                   "negative stage schedule thread count in plan");
+  FBMPK_CHECK_CODE(ss.empty() || plan.opts_.parallel, ErrorCode::kCorruptPlan,
+                   "plan carries a stage schedule but is not parallel");
+  r.end_section(sec, "stage schedule");
 
   sec = r.begin_section(kSecSplit, "split");
   plan.split_.lower = read_csr(r);
@@ -767,56 +636,47 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
   plan.packed_.upper = read_packed(r, "upper");
   r.end_section(sec, "packed index");
 
-  if (version >= 5) {
-    sec = r.begin_section(kSecValues, "packed values");
-    plan.values_.precision =
-        r.enumeration<ValuePrecision>(3, "sidecar precision");
-    plan.values_.lower = read_values(r, "lower");
-    plan.values_.upper = read_values(r, "upper");
-    plan.values_.diag = read_values(r, "diag");
-    r.end_section(sec, "packed values");
+  sec = r.begin_section(kSecValues, "packed values");
+  plan.values_.precision =
+      r.enumeration<ValuePrecision>(3, "sidecar precision");
+  plan.values_.lower = read_values(r, "lower");
+  plan.values_.upper = read_values(r, "upper");
+  plan.values_.diag = read_values(r, "diag");
+  r.end_section(sec, "packed values");
 
-    sec = r.begin_section(kSecTuned, "tuned config");
-    plan.tuned_.valid = r.boolean();
-    plan.tuned_.backend = r.enumeration<KernelBackend>(5, "tuned backend");
-    plan.tuned_.index_compress = r.boolean();
-    plan.tuned_.value_precision =
-        r.enumeration<ValuePrecision>(3, "tuned precision");
-    plan.tuned_.tuned_threads = r.pod<index_t>();
-    FBMPK_CHECK_CODE(plan.tuned_.tuned_threads >= 0, ErrorCode::kCorruptPlan,
-                     "negative tuned thread count in plan");
-    plan.tuned_.best_seconds = r.pod<double>();
-    FBMPK_CHECK_CODE(plan.tuned_.best_seconds >= 0.0, ErrorCode::kCorruptPlan,
-                     "negative tuned timing in plan");
-    if (version >= 6) {
-      plan.tuned_.oracle_used = r.boolean();
-      plan.tuned_.oracle_predicted_bytes = r.pod<double>();
-      FBMPK_CHECK_CODE(plan.tuned_.oracle_predicted_bytes >= 0.0,
-                       ErrorCode::kCorruptPlan,
-                       "negative oracle prediction in plan");
-      plan.tuned_.candidates_scored = r.pod<index_t>();
-      plan.tuned_.candidates_timed = r.pod<index_t>();
-      plan.tuned_.oracle_rank_of_winner = r.pod<index_t>();
-      FBMPK_CHECK_CODE(
-          plan.tuned_.candidates_scored >= 0 &&
-              plan.tuned_.candidates_timed >= 0 &&
-              plan.tuned_.candidates_timed <= plan.tuned_.candidates_scored &&
-              plan.tuned_.oracle_rank_of_winner >= 0 &&
-              plan.tuned_.oracle_rank_of_winner <=
-                  plan.tuned_.candidates_timed,
-          ErrorCode::kCorruptPlan,
-          "inconsistent oracle provenance counts in plan");
-    }
-    if (version >= 7) {
-      plan.tuned_.scheduler = r.enumeration<Scheduler>(2, "tuned scheduler");
-      plan.tuned_.scheduler_measured = r.boolean();
-      plan.tuned_.scheduler_alt_seconds = r.pod<double>();
-      FBMPK_CHECK_CODE(plan.tuned_.scheduler_alt_seconds >= 0.0,
-                       ErrorCode::kCorruptPlan,
-                       "negative scheduler timing in plan");
-    }
-    r.end_section(sec, "tuned config");
-  }
+  sec = r.begin_section(kSecTuned, "tuned config");
+  plan.tuned_.valid = r.boolean();
+  plan.tuned_.backend = r.enumeration<KernelBackend>(5, "tuned backend");
+  plan.tuned_.index_compress = r.boolean();
+  plan.tuned_.value_precision =
+      r.enumeration<ValuePrecision>(3, "tuned precision");
+  plan.tuned_.tuned_threads = r.pod<index_t>();
+  FBMPK_CHECK_CODE(plan.tuned_.tuned_threads >= 0, ErrorCode::kCorruptPlan,
+                   "negative tuned thread count in plan");
+  plan.tuned_.best_seconds = r.pod<double>();
+  FBMPK_CHECK_CODE(plan.tuned_.best_seconds >= 0.0, ErrorCode::kCorruptPlan,
+                   "negative tuned timing in plan");
+  plan.tuned_.oracle_used = r.boolean();
+  plan.tuned_.oracle_predicted_bytes = r.pod<double>();
+  FBMPK_CHECK_CODE(plan.tuned_.oracle_predicted_bytes >= 0.0,
+                   ErrorCode::kCorruptPlan,
+                   "negative oracle prediction in plan");
+  plan.tuned_.candidates_scored = r.pod<index_t>();
+  plan.tuned_.candidates_timed = r.pod<index_t>();
+  plan.tuned_.oracle_rank_of_winner = r.pod<index_t>();
+  FBMPK_CHECK_CODE(
+      plan.tuned_.candidates_scored >= 0 &&
+          plan.tuned_.candidates_timed >= 0 &&
+          plan.tuned_.candidates_timed <= plan.tuned_.candidates_scored &&
+          plan.tuned_.oracle_rank_of_winner >= 0 &&
+          plan.tuned_.oracle_rank_of_winner <= plan.tuned_.candidates_timed,
+      ErrorCode::kCorruptPlan, "inconsistent oracle provenance counts in plan");
+  plan.tuned_.scheduler = r.enumeration<Scheduler>(2, "tuned scheduler");
+  plan.tuned_.scheduler_measured = r.boolean();
+  plan.tuned_.scheduler_alt_seconds = r.pod<double>();
+  FBMPK_CHECK_CODE(plan.tuned_.scheduler_alt_seconds >= 0.0,
+                   ErrorCode::kCorruptPlan, "negative scheduler timing in plan");
+  r.end_section(sec, "tuned config");
   r.expect_exhausted();
 
   if (plan.opts_.index_compress) {
@@ -879,49 +739,21 @@ MpkPlan load_plan_impl(std::istream& in, std::uint64_t total_size) {
                        plan.perm_.size() == plan.n_,
                    ErrorCode::kCorruptPlan, "inconsistent plan payload");
 
-  // A schedule is data for one thread count. When the plan wants the
-  // runtime default (threads == 0) and this process's default differs
-  // from the stored one, rebuild from the (already validated) split
-  // rather than failing or silently running a mismatched schedule.
-  if (plan.opts_.parallel && plan.opts_.scheduler == Scheduler::kAbmc &&
-      plan.opts_.sweep.sync == SweepSync::kPointToPoint) {
+  // A stage schedule is data for one thread count: re-validate a
+  // loaded one edge by edge against the (validated) split, and rebuild
+  // it when it is absent or built for a thread count other than the
+  // one this process wants.
+  FBMPK_CHECK_CODE(plan.stages_.empty() ||
+                       validate_stage_schedule(plan.stages_, plan.split_),
+                   ErrorCode::kCorruptPlan,
+                   "stage schedule fails structural validation");
+  if (plan.opts_.parallel) {
     const index_t want = plan.opts_.sweep.threads > 0
                              ? plan.opts_.sweep.threads
                              : static_cast<index_t>(max_threads());
-    if (plan.sweep_schedule_.empty() ||
-        plan.sweep_schedule_.num_threads != want) {
-      plan.sweep_schedule_ =
-          build_sweep_schedule(plan.schedule_, plan.split_, want);
+    if (plan.stages_.num_threads != want) {
+      plan.stages_ = plan.build_stages(want);
       plan.stats_.sweep_threads = want;
-    }
-  }
-
-  // Same discipline for the level-blocked schedule: structurally
-  // re-validate a loaded one against the split, and rebuild when it is
-  // absent (v4-v6 files) or built for a different thread count.
-  if (plan.opts_.parallel && plan.opts_.scheduler == Scheduler::kLevels) {
-    FBMPK_CHECK_CODE(
-        plan.levels_.forward.rows.size() ==
-                static_cast<std::size_t>(plan.n_) &&
-            plan.levels_.backward.rows.size() ==
-                static_cast<std::size_t>(plan.n_),
-        ErrorCode::kCorruptPlan,
-        "level schedule does not cover the matrix");
-    FBMPK_CHECK_CODE(plan.level_sweep_schedule_.empty() ||
-                         validate_level_sweep_schedule(
-                             plan.level_sweep_schedule_, plan.split_),
-                     ErrorCode::kCorruptPlan,
-                     "level-blocked schedule fails structural validation");
-    if (plan.opts_.sweep.sync == SweepSync::kPointToPoint) {
-      const index_t want = plan.opts_.sweep.threads > 0
-                               ? plan.opts_.sweep.threads
-                               : static_cast<index_t>(max_threads());
-      if (plan.level_sweep_schedule_.empty() ||
-          plan.level_sweep_schedule_.num_threads != want) {
-        plan.level_sweep_schedule_ =
-            build_level_sweep_schedule(plan.levels_, plan.split_, want);
-        plan.stats_.sweep_threads = want;
-      }
     }
   }
 

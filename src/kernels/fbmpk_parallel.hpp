@@ -1,29 +1,30 @@
-// Parallel FBMPK under the ABMC color schedule (paper Algorithm 2,
-// §III-D/E).
+// Parallel FBMPK over a StageSchedule (paper Algorithm 2, §III-D/E;
+// reorder/stage_schedule.hpp, docs/PARALLELISM.md).
 //
-// Preconditions: the TriangularSplit must come from the ABMC-*permuted*
-// matrix, and the AbmcOrdering must be the schedule that produced that
-// permutation. Forward sweeps walk colors in ascending order, backward
-// sweeps descending; blocks within one color run in parallel (their
-// rows share no matrix edges by the coloring invariant), with one
-// barrier per color per sweep. Head/tail sweeps are plain row-parallel
-// SpMVs — they only read completed vectors.
+// Both schedulers build the same stage schedule, and two rungs run it:
 //
-// The computation is exactly the serial FBMPK of the permuted matrix
-// (same FP operations per row; only row completion order changes), so
-// results are bitwise identical to the serial kernel.
+//  - fbmpk_engine_try_sweep_rows: persistent threads, one per schedule
+//    thread, synchronized point-to-point by per-thread epoch counters;
+//  - fbmpk_barrier_sweep_rows: the same slots with one team barrier
+//    after each stage. A team smaller than the schedule's thread count
+//    folds: team thread tid runs schedule threads tid, tid+team, ...
+//    (slots of one stage share no edges, so any order is correct).
+//
+// Both issue exactly the per-row operations of the serial FBMPK sweep
+// on the same matrix — only row completion order changes — so results
+// are bitwise identical to the serial kernel for every schedule, thread
+// count and rung.
 #pragma once
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <span>
-#include <utility>
+#include <type_traits>
+#include <vector>
 
 #include "kernels/fb_detail.hpp"
 #include "kernels/fbmpk.hpp"
-#include "kernels/sweep_schedule.hpp"
-#include "reorder/abmc.hpp"
+#include "reorder/stage_schedule.hpp"
 #include "sparse/split.hpp"
 #include "support/aligned_buffer.hpp"
 #include "support/error.hpp"
@@ -37,7 +38,7 @@ namespace fbmpk {
 /// the operations of the serial reference kernel (bitwise identical).
 /// kernels/fb_simd.hpp provides DispatchRows, the fast-mode twin with
 /// the same member signatures (runtime-dispatched SIMD + packed
-/// indices); both parallel sweeps below are templated on the policy.
+/// indices); both parallel rungs below are templated on the policy.
 template <class T>
 struct ScalarRows {
   const index_t* lrp;
@@ -84,237 +85,12 @@ struct ScalarRows {
   }
 };
 
-/// Color-scheduled parallel sweep over an explicit row policy.
-/// emit(p, i, v) fires once per power p in [1, k] and (permuted) row i;
-/// it may be called concurrently for distinct rows and must be safe
-/// under that.
-///
-/// `ctl` (optional) is a cooperative cancellation token: it is polled
-/// at every stage boundary (head, each color of each sweep, tail).
-/// Once it reports cancelled, the remaining row work is skipped but
-/// every thread still encounters every worksharing construct, so the
-/// kernel terminates promptly with the outputs unspecified — the
-/// caller must discard them. Never throws across the parallel region.
-///
-/// Generic over the iterate element TI (double, or Pack<double, B> for
-/// batched multi-vector sweeps) and the x0 source X0 (a span, or a
-/// gather adapter reading straight from request buffers); T stays the
-/// split's element type.
-template <class T, class TI, class Rows, class X0, class Emit>
-void fbmpk_parallel_sweep_rows(const TriangularSplit<T>& s,
-                               const AbmcOrdering& o, const Rows& rows,
-                               const X0& x0, int k, FbWorkspace<TI>& ws,
-                               Emit&& emit, RunControl* ctl = nullptr) {
-  const index_t n = s.lower.rows();
-  FBMPK_CHECK(s.upper.rows() == n &&
-              s.diag.size() == static_cast<std::size_t>(n));
-  FBMPK_CHECK(x0.size() == static_cast<std::size_t>(n));
-  FBMPK_CHECK(k >= 1);
-  FBMPK_CHECK_MSG(!o.block_ptr.empty() && o.block_ptr.back() == n,
-                  "schedule does not cover the matrix");
-  ws.resize(n);
-
-  TI* xy = ws.xy.data();
-  TI* tmp = ws.tmp.data();
-
-  const int pairs = k / 2;
-  const index_t num_colors = o.num_colors;
-
-#ifdef _OPENMP
-#pragma omp parallel default(shared)
-#endif
-  {
-    // Telemetry (compiled out when FBMPK_TELEMETRY is off): one span
-    // per (k-step, color) stage, recorded by thread 0 — the implicit
-    // barrier after each `omp for` makes its timestamps bracket the
-    // whole team's color.
-    FBMPK_TELEMETRY_ONLY(
-        telemetry::SweepRecorder fbmpk_rec{false};
-        const bool fbmpk_rec0 = thread_id() == 0;)
-
-    // Per-stage cancellation poll. Thread 0 additionally drives the
-    // heartbeat / injected-stall checkpoint; diverging answers across
-    // the team are harmless — every worksharing construct below is
-    // still encountered by every thread, only loop bodies are skipped.
-    const auto stage_dead = [&]() -> bool {
-      if (ctl == nullptr) return false;
-      if (thread_id() == 0) return ctl->checkpoint();
-      return ctl->cancelled();
-    };
-    bool dead = stage_dead();
-
-    // Head: even slots <- x0; tmp <- U·x0. Row-parallel, no coloring
-    // needed (reads only x0).
-    FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_begin();)
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (index_t i = 0; i < n; ++i) {
-      if (dead) continue;
-      xy[2 * i] = x0[i];
-    }
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (index_t i = 0; i < n; ++i) {
-      if (dead) continue;
-      TI sum{};
-      rows.u_dot1(i, xy, 0, sum);
-      tmp[i] = sum;
-    }
-    FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_end("head", 0, -1);)
-
-    for (int it = 0; it < pairs; ++it) {
-      const int p_odd = 2 * it + 1;
-      const int p_even = 2 * it + 2;
-
-      // Forward: colors ascending; blocks of one color in parallel;
-      // rows within a block top-down.
-      for (index_t c = 0; c < num_colors; ++c) {
-        dead = dead || stage_dead();
-        FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_begin();)
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-        for (index_t b = o.color_ptr[c]; b < o.color_ptr[c + 1]; ++b) {
-          if (dead) continue;
-          for (index_t i = o.block_ptr[b]; i < o.block_ptr[b + 1]; ++i) {
-            const auto di = rows.diag(i);
-            TI sum0 = madd(di, xy[2 * i], tmp[i]);
-            TI sum1{};
-            rows.l_dot2(i, xy, sum0, sum1);
-            xy[2 * i + 1] = sum0;
-            emit(p_odd, i, sum0);
-            tmp[i] = madd(di, sum0, sum1);
-          }
-        }  // implicit barrier: color c complete before c+1 starts
-        FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0)
-                                 fbmpk_rec.stage_end("fwd", p_odd,
-                                                     static_cast<int>(c));)
-      }
-
-      // Backward: colors descending; rows within a block bottom-up.
-      const bool prime_next = !(it == pairs - 1 && k % 2 == 0);
-      for (index_t c = num_colors; c-- > 0;) {
-        dead = dead || stage_dead();
-        FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_begin();)
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-        for (index_t b = o.color_ptr[c]; b < o.color_ptr[c + 1]; ++b) {
-          if (dead) continue;
-          for (index_t i = o.block_ptr[b + 1]; i-- > o.block_ptr[b];) {
-            TI sum0 = tmp[i];
-            if (prime_next) {
-              TI sum1{};
-              rows.u_dot2(i, xy, sum1, sum0);
-              xy[2 * i] = sum0;
-              emit(p_even, i, sum0);
-              tmp[i] = sum1;
-            } else {
-              rows.u_dot1(i, xy, 1, sum0);
-              xy[2 * i] = sum0;
-              emit(p_even, i, sum0);
-            }
-          }
-        }
-        FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0)
-                                 fbmpk_rec.stage_end("bwd", p_even,
-                                                     static_cast<int>(c));)
-      }
-    }
-
-    if (k % 2 == 1) {
-      // Tail: reads only completed even slots and tmp; row-parallel.
-      dead = dead || stage_dead();
-      FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_begin();)
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-      for (index_t i = 0; i < n; ++i) {
-        if (dead) continue;
-        TI sum = madd(rows.diag(i), xy[2 * i], tmp[i]);
-        rows.l_dot1(i, xy, 0, sum);
-        emit(k, i, sum);
-      }
-      FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_end("tail", k, -1);)
-    }
-  }
-}
-
-/// Color-scheduled parallel sweep with the exact scalar row policy —
-/// bitwise identical to the serial kernel.
-template <class T, class Emit>
-void fbmpk_parallel_sweep(const TriangularSplit<T>& s, const AbmcOrdering& o,
-                          std::span<const T> x0, int k, FbWorkspace<T>& ws,
-                          Emit&& emit, RunControl* ctl = nullptr) {
-  fbmpk_parallel_sweep_rows(s, o, ScalarRows<T>(s), x0, k, ws,
-                            std::forward<Emit>(emit), ctl);
-}
-
-/// y = A^k x0, parallel; operates in the permuted index space.
-template <class T>
-void fbmpk_parallel_power(const TriangularSplit<T>& s, const AbmcOrdering& o,
-                          std::span<const T> x0, int k, std::span<T> y,
-                          FbWorkspace<T>& ws) {
-  FBMPK_CHECK(y.size() == x0.size());
-  FBMPK_CHECK(k >= 0);
-  if (k == 0) {
-    std::copy(x0.begin(), x0.end(), y.begin());
-    return;
-  }
-  T* yp = y.data();
-  fbmpk_parallel_sweep(s, o, x0, k, ws, [&](int p, index_t i, T v) {
-    if (p == k) yp[i] = v;
-  });
-}
-
-/// Krylov basis, parallel: out[p*n + i] = (A^p x0)[i], p in [0, k].
-template <class T>
-void fbmpk_parallel_power_all(const TriangularSplit<T>& s,
-                              const AbmcOrdering& o, std::span<const T> x0,
-                              int k, std::span<T> out, FbWorkspace<T>& ws) {
-  const auto n = x0.size();
-  FBMPK_CHECK(out.size() == n * static_cast<std::size_t>(k + 1));
-  std::copy(x0.begin(), x0.end(), out.begin());
-  if (k == 0) return;
-  T* op = out.data();
-  fbmpk_parallel_sweep(s, o, x0, k, ws, [&](int p, index_t i, T v) {
-    op[static_cast<std::size_t>(p) * n + i] = v;
-  });
-}
-
-/// y = sum_p coeffs[p] A^p x0, parallel.
-template <class T>
-void fbmpk_parallel_polynomial(const TriangularSplit<T>& s,
-                               const AbmcOrdering& o,
-                               std::span<const T> coeffs,
-                               std::span<const T> x0, std::span<T> y,
-                               FbWorkspace<T>& ws) {
-  FBMPK_CHECK(!coeffs.empty());
-  FBMPK_CHECK(y.size() == x0.size());
-  const int k = static_cast<int>(coeffs.size()) - 1;
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] = coeffs[0] * x0[i];
-  if (k == 0) return;
-  T* yp = y.data();
-  const T* cp = coeffs.data();
-  fbmpk_parallel_sweep(s, o, x0, k, ws, [&](int p, index_t i, T v) {
-    yp[i] += cp[p] * v;
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Persistent-threads sweep engine (point-to-point synchronization).
-// ---------------------------------------------------------------------------
-
-/// Workspace of the persistent-threads engine. The buffers are
-/// allocated *uninitialized* on purpose: the head stage writes every
-/// element of xy and tmp through the owning (thread, color) partition,
-/// so on a first-touch NUMA policy each page lands on the node of the
-/// thread that will keep streaming it. A value-initializing vector
-/// would have the allocating thread touch (and place) everything.
-/// `fallback` backs the barrier kernel when the engine cannot run
-/// (team-size mismatch, empty schedule).
+/// Workspace of the parallel rungs. The buffers are allocated
+/// *uninitialized* on purpose: the head stage writes every element of
+/// xy and tmp through the owning (thread, stage) slot, so on a
+/// first-touch NUMA policy each page lands on the node of the thread
+/// that will keep streaming it. A value-initializing vector would have
+/// the allocating thread touch (and place) everything.
 template <class T>
 struct SweepWorkspace {
   SweepWorkspace() = default;
@@ -334,7 +110,6 @@ struct SweepWorkspace {
   /// Set once the split arrays have been streamed by their owning
   /// threads (cold-start cache/NUMA warm pass, done on first use).
   bool warmed = false;
-  FbWorkspace<T> fallback;
 
  private:
   struct FreeDeleter {
@@ -386,56 +161,239 @@ inline bool sweep_wait(std::atomic<long long>& e, long long target,
   return blocked;
 }
 
-}  // namespace detail
-
-/// Point-to-point engine behind fbmpk_engine_sweep. Returns false
-/// without touching any output when it cannot run safely — the caller
-/// then falls back to the barrier kernel. Reasons: schedule empty,
-/// schedule shape not matching the ordering, or the OpenMP runtime
-/// delivering a team smaller than schedule.num_threads (nested
-/// parallelism, thread limits).
-///
-/// Epoch protocol (derivation in sweep_schedule.hpp and
-/// docs/PARALLELISM.md): each thread owns one monotone counter,
-/// bumped with release order after every stage. With C colors and
-/// `pairs` forward/backward pairs the global stage list is
-///   head0, head1, {F_0..F_{C-1}, B_{C-1}..B_0} x pairs, [tail]
-/// so after head0 a thread's counter reads 1, after head1 it reads 2,
-/// after F_c of pair `it` it reads 2 + it*2C + c + 1, and after B_c of
-/// pair `it` it reads 2 + it*2C + C + (C - 1 - c) + 1. Stage waits
-/// compare foreign counters against these values with acquire order.
-/// Every dependency targets a strictly earlier stage in the list and
-/// every thread visits every stage (even with an empty partition), so
-/// the wait graph is acyclic: no deadlock.
+/// The row work of every stage, shared by both rungs. Head and tail
+/// stages walk the thread's forward slots; forward slots walk their
+/// ranges in order, each ascending; backward slots walk them in
+/// reverse, each descending.
 template <class T, class TI, class Rows, class X0, class Emit>
-bool fbmpk_engine_try_sweep_rows(const TriangularSplit<T>& s,
-                                 const AbmcOrdering& o,
-                                 const SweepSchedule& sched, const Rows& rows,
-                                 const X0& x0, int k, SweepWorkspace<TI>& ws,
-                                 bool pin_threads, Emit&& emit,
-                                 RunControl* ctl = nullptr) {
+struct StageRows {
+  const StageSchedule& sched;
+  const Rows& rows;
+  const X0& x0;
+  TI* xy;
+  TI* tmp;
+  Emit& emit;
+
+  template <class Fn>
+  void own_rows(index_t t, Fn&& fn) const {
+    const StageDirection& d = sched.fwd;
+    for (index_t r = d.range_ptr[d.slot(t, 0)];
+         r < d.range_ptr[d.slot(t, d.num_stages)]; ++r)
+      for (index_t i = d.ranges[r].begin; i < d.ranges[r].end; ++i) fn(i);
+  }
+
+  /// head0: even slots <- x0. This is the first-touch pass for xy; with
+  /// `warm` (the engine on a cold workspace) it also streams each row's
+  /// split data (row i's CSR data is only ever read by its owner, so
+  /// this races with nothing).
+  void head0(index_t t, bool warm) const {
+    T sink{};
+    own_rows(t, [&](index_t i) {
+      xy[2 * i] = x0[i];
+      if (warm) {
+        T acc{};
+        rows.warm(i, acc);
+        sink += acc + rows.diag(i);
+      }
+    });
+    if (warm) {
+      volatile T keep = sink;  // keep the warm reads observable
+      (void)keep;
+    }
+  }
+
+  /// head1: tmp <- U·x0.
+  void head1(index_t t) const {
+    own_rows(t, [&](index_t i) {
+      TI sum{};
+      rows.u_dot1(i, xy, 0, sum);
+      tmp[i] = sum;
+    });
+  }
+
+  /// Forward stage s: completes the odd iterate p of its rows.
+  void forward(index_t t, index_t s, int p) const {
+    const StageDirection& d = sched.fwd;
+    const std::size_t q = d.slot(t, s);
+    for (index_t r = d.range_ptr[q]; r < d.range_ptr[q + 1]; ++r)
+      for (index_t i = d.ranges[r].begin; i < d.ranges[r].end; ++i) {
+        const auto di = rows.diag(i);
+        TI sum0 = madd(di, xy[2 * i], tmp[i]);
+        TI sum1{};
+        rows.l_dot2(i, xy, sum0, sum1);
+        xy[2 * i + 1] = sum0;
+        emit(p, i, sum0);
+        tmp[i] = madd(di, sum0, sum1);
+      }
+  }
+
+  /// Backward stage s: completes the even iterate p; primes tmp for the
+  /// next pair unless this is the final pair of an even k.
+  void backward(index_t t, index_t s, int p, bool prime_next) const {
+    const StageDirection& d = sched.bwd;
+    const std::size_t q = d.slot(t, s);
+    for (index_t r = d.range_ptr[q + 1]; r-- > d.range_ptr[q];)
+      for (index_t i = d.ranges[r].end; i-- > d.ranges[r].begin;) {
+        TI sum0 = tmp[i];
+        if (prime_next) {
+          TI sum1{};
+          rows.u_dot2(i, xy, sum1, sum0);
+          xy[2 * i] = sum0;
+          emit(p, i, sum0);
+          tmp[i] = sum1;
+        } else {
+          rows.u_dot1(i, xy, 1, sum0);
+          xy[2 * i] = sum0;
+          emit(p, i, sum0);
+        }
+      }
+  }
+
+  /// tail (odd k): x_k = L·x_{k-1} + D·x_{k-1} + tmp.
+  void tail(index_t t, int k) const {
+    own_rows(t, [&](index_t i) {
+      TI sum = madd(rows.diag(i), xy[2 * i], tmp[i]);
+      rows.l_dot1(i, xy, 0, sum);
+      emit(k, i, sum);
+    });
+  }
+};
+
+/// Shared preconditions of both rungs; returns n.
+template <class T, class X0>
+index_t check_stage_sweep(const TriangularSplit<T>& s,
+                          const StageSchedule& sched, const X0& x0, int k) {
   const index_t n = s.lower.rows();
   FBMPK_CHECK(s.upper.rows() == n &&
               s.diag.size() == static_cast<std::size_t>(n));
   FBMPK_CHECK(x0.size() == static_cast<std::size_t>(n));
   FBMPK_CHECK(k >= 1);
-  FBMPK_CHECK_MSG(!o.block_ptr.empty() && o.block_ptr.back() == n,
-                  "schedule does not cover the matrix");
-  if (sched.empty() || sched.num_colors != o.num_colors ||
-      sched.num_blocks != o.num_blocks)
-    return false;
+  FBMPK_CHECK_MSG(!sched.empty() && sched.num_rows == n,
+                  "stage schedule does not cover the matrix");
+  return n;
+}
 
+}  // namespace detail
+
+/// Barrier rung: every stage of the schedule, one team barrier after
+/// each. emit(p, i, v) fires once per power p in [1, k] and row i; it
+/// may be called concurrently for distinct rows and must be safe under
+/// that.
+///
+/// `ctl` (optional) is a cooperative cancellation token, polled at
+/// every stage boundary. Once it reports cancelled the remaining row
+/// work is skipped but every thread still meets every barrier, so the
+/// sweep terminates promptly with the outputs unspecified — the caller
+/// must discard them. Never throws across the parallel region.
+///
+/// Generic over the iterate element TI (double, or Pack<double, B> for
+/// batched multi-vector sweeps) and the x0 source X0 (a span, or a
+/// gather adapter reading straight from request buffers); T stays the
+/// split's element type.
+template <class T, class TI, class Rows, class X0, class Emit>
+void fbmpk_barrier_sweep_rows(const TriangularSplit<T>& s,
+                              const StageSchedule& sched, const Rows& rows,
+                              const X0& x0, int k, SweepWorkspace<TI>& ws,
+                              Emit&& emit, RunControl* ctl = nullptr) {
+  const index_t n = detail::check_stage_sweep(s, sched, x0, k);
+  ws.resize(n);
+  const detail::StageRows<T, TI, Rows, X0, std::remove_reference_t<Emit>>
+      body{sched, rows, x0, ws.xy(), ws.tmp(), emit};
+  const index_t T_n = sched.num_threads;
+  const int pairs = k / 2;
+
+  parallel_region([&](int tid, int team) {
+    // Telemetry (compiled out when FBMPK_TELEMETRY is off): one span
+    // per stage, recorded by thread 0 — the barrier after each stage
+    // makes its timestamps bracket the whole team's stage.
+    FBMPK_TELEMETRY_ONLY(telemetry::SweepRecorder fbmpk_rec{false};
+                         const bool fbmpk_rec0 = tid == 0;)
+    // Schedule threads this team thread runs.
+    const auto each = [&](auto&& fn) {
+      for (index_t t = tid; t < T_n; t += team) fn(t);
+    };
+    // Per-stage cancellation poll. Thread 0 additionally drives the
+    // heartbeat / injected-stall checkpoint; diverging answers across
+    // the team are harmless — every barrier is still met.
+    bool dead = false;
+    const auto stage_dead = [&]() -> bool {
+      if (ctl != nullptr)
+        dead = dead || (tid == 0 ? ctl->checkpoint() : ctl->cancelled());
+      return dead;
+    };
+
+    FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_begin();)
+    if (!stage_dead()) each([&](index_t t) { body.head0(t, /*warm=*/false); });
+    team_barrier();
+    if (!dead) each([&](index_t t) { body.head1(t); });
+    team_barrier();
+    FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_end("head", 0, -1);)
+
+    for (int it = 0; it < pairs; ++it) {
+      const int p_odd = 2 * it + 1;
+      const int p_even = 2 * it + 2;
+      const bool prime_next = !(it == pairs - 1 && k % 2 == 0);
+      for (index_t st = 0; st < sched.fwd.num_stages; ++st) {
+        FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_begin();)
+        if (!stage_dead())
+          each([&](index_t t) { body.forward(t, st, p_odd); });
+        team_barrier();
+        FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_end(
+                                 "fwd", p_odd, static_cast<int>(st));)
+      }
+      for (index_t st = 0; st < sched.bwd.num_stages; ++st) {
+        FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_begin();)
+        if (!stage_dead())
+          each([&](index_t t) { body.backward(t, st, p_even, prime_next); });
+        team_barrier();
+        FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_end(
+                                 "bwd", p_even, static_cast<int>(st));)
+      }
+    }
+
+    if (k % 2 == 1) {
+      FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_begin();)
+      if (!stage_dead()) each([&](index_t t) { body.tail(t, k); });
+      team_barrier();
+      FBMPK_TELEMETRY_ONLY(if (fbmpk_rec0) fbmpk_rec.stage_end("tail", k, -1);)
+    }
+  });
+}
+
+/// Engine rung: persistent threads with point-to-point waits. Returns
+/// false without touching any output when it cannot run safely — the
+/// caller then runs the barrier rung (same bitwise result). Reasons:
+/// the schedule wants more threads than the runtime offers, or the
+/// OpenMP runtime delivers a smaller team (nested parallelism, thread
+/// limits). Same emit and ctl contracts as the barrier rung.
+///
+/// Epoch protocol: each thread owns one monotone counter, bumped with
+/// release order after every stage. With P = SF + SB stages per pair,
+/// each thread walks
+///   head0, head1, {F_0..F_{SF-1}, B_0..B_{SB-1}} x pairs, [tail]
+/// so its counter reads 1 after head0, 2 after head1, and
+/// 2 + it*P + s + 1 after pair-stage s of pair `it`. A slot dep
+/// (u, s) waits for u's counter to reach 2 + it*P + s + 1; pair deps
+/// wait for 2 + it*P before F_0; head1 waits its head/tail deps for 1
+/// and the tail for 2 + pairs*P. Every dep targets a strictly earlier
+/// stage and every thread bumps through every stage (even with an
+/// empty slot, even after cancellation), so the wait graph is acyclic:
+/// no deadlock.
+template <class T, class TI, class Rows, class X0, class Emit>
+bool fbmpk_engine_try_sweep_rows(const TriangularSplit<T>& s,
+                                 const StageSchedule& sched, const Rows& rows,
+                                 const X0& x0, int k, SweepWorkspace<TI>& ws,
+                                 bool pin_threads, Emit&& emit,
+                                 RunControl* ctl = nullptr) {
+  const index_t n = detail::check_stage_sweep(s, sched, x0, k);
   const index_t T_n = sched.num_threads;
   if (T_n > max_threads()) return false;
   ws.resize(n);
-
-  TI* xy = ws.xy();
-  TI* tmp = ws.tmp();
-
+  const detail::StageRows<T, TI, Rows, X0, std::remove_reference_t<Emit>>
+      body{sched, rows, x0, ws.xy(), ws.tmp(), emit};
   const int pairs = k / 2;
-  const index_t C = sched.num_colors;
-  const long long stage_pairs = 2LL * C;
-  const bool warm_split = !ws.warmed;
+  const long long pair_stages = sched.pair_stages();
+  const bool warm = !ws.warmed;
 
   const auto epochs = std::make_unique<detail::SweepEpoch[]>(
       static_cast<std::size_t>(T_n));
@@ -451,8 +409,8 @@ bool fbmpk_engine_try_sweep_rows(const TriangularSplit<T>& s,
     if (pin_threads) pin_team_compact();
 
     // Telemetry (compiled out when FBMPK_TELEMETRY is off): every
-    // thread records its own (k-step, color) stage spans and
-    // spin-vs-futex wait accounting into its thread-local buffer.
+    // thread records its own (k-step, stage) spans and spin-vs-futex
+    // wait accounting into its thread-local buffer.
     FBMPK_TELEMETRY_ONLY(telemetry::SweepRecorder fbmpk_rec{true};)
 
     // Oversubscribed teams skip the spin phase entirely: the awaited
@@ -465,186 +423,87 @@ bool fbmpk_engine_try_sweep_rows(const TriangularSplit<T>& s,
       my.fetch_add(1, std::memory_order_release);
       my.notify_all();
     };
-    // Walk this thread's rows across all its color partitions.
-    const auto for_own_rows = [&](auto&& row_fn) {
-      for (index_t c = 0; c < C; ++c) {
-        const std::size_t slot = sched.slot(t, c);
-        for (index_t pi = sched.part_ptr[slot]; pi < sched.part_ptr[slot + 1];
-             ++pi) {
-          const index_t b = sched.part_blocks[pi];
-          for (index_t i = o.block_ptr[b]; i < o.block_ptr[b + 1]; ++i)
-            row_fn(i);
-        }
-      }
-    };
     // Per-stage cancellation poll (thread 0 also drives the heartbeat /
     // injected-stall checkpoint). A cancelled thread skips row work but
-    // keeps bumping its epoch, so every foreign wait still terminates —
-    // the acyclic stage protocol is preserved under cancellation.
+    // keeps bumping its epoch, so every foreign wait still terminates.
     bool dead = false;
     const auto stage_dead = [&]() -> bool {
-      if (ctl == nullptr) return dead;
-      if (tid == 0) dead = dead || ctl->checkpoint();
-      else dead = dead || ctl->cancelled();
+      if (ctl != nullptr)
+        dead = dead || (tid == 0 ? ctl->checkpoint() : ctl->cancelled());
       return dead;
     };
-    const auto wait_all = [&](long long target) {
+    // Wait until thread waits(e) has reached epoch target(e) for every
+    // e in [lo, hi).
+    const auto wait_for = [&](index_t lo, index_t hi, auto&& thread_of,
+                              auto&& target_of) {
       FBMPK_TELEMETRY_ONLY(
-          const bool fbmpk_have_deps =
-              sched.all_dep_ptr[t] < sched.all_dep_ptr[t + 1];
-          if (fbmpk_have_deps && fbmpk_rec.active()) fbmpk_rec.wait_begin();
+          if (lo < hi && fbmpk_rec.active()) fbmpk_rec.wait_begin();
           bool fbmpk_blocked = false;)
-      for (index_t q = sched.all_dep_ptr[t]; q < sched.all_dep_ptr[t + 1];
-           ++q) {
-        const bool blocked = detail::sweep_wait(epochs[sched.all_deps[q]].value,
-                                                target, pause_spins);
+      for (index_t e = lo; e < hi; ++e) {
+        const bool blocked = detail::sweep_wait(
+            epochs[thread_of(e)].value, target_of(e), pause_spins);
         (void)blocked;
         FBMPK_TELEMETRY_ONLY(fbmpk_blocked = fbmpk_blocked || blocked;)
       }
-      FBMPK_TELEMETRY_ONLY(if (fbmpk_have_deps && fbmpk_rec.active())
+      FBMPK_TELEMETRY_ONLY(if (lo < hi && fbmpk_rec.active())
                                fbmpk_rec.wait_end(fbmpk_blocked);)
     };
+    const auto wait_threads = [&](const std::vector<index_t>& ptr,
+                                  const std::vector<index_t>& list,
+                                  long long target) {
+      wait_for(
+          ptr[t], ptr[t + 1], [&](index_t e) { return list[e]; },
+          [&](index_t) { return target; });
+    };
+    const auto wait_slot = [&](const StageDirection& d, std::size_t q,
+                               long long base) {
+      wait_for(
+          d.dep_ptr[q], d.dep_ptr[q + 1],
+          [&](index_t e) { return d.deps[e].thread; },
+          [&](index_t e) { return base + d.deps[e].stage + 1; });
+    };
 
-    // head0: xy even slots <- x0 over owned rows. This is the
-    // first-touch pass for xy; the warm read of the split arrays rides
-    // along (row i's CSR data is only ever read while processing row
-    // i, always by its owner, so this races with nothing).
-    T sink{};
-    stage_dead();
     FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_begin();)
-    if (!dead) for_own_rows([&](index_t i) {
-      xy[2 * i] = x0[i];
-      if (warm_split) {
-        T acc{};
-        rows.warm(i, acc);
-        sink += acc + rows.diag(i);
-      }
-    });
-    if (warm_split) {
-      volatile T keep = sink;  // keep the warm reads observable
-      (void)keep;
-    }
+    if (!stage_dead()) body.head0(t, warm);
     bump();  // epoch 1
     FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_end("head0", 0, -1);)
 
-    // head1: tmp <- U·x0. Reads foreign xy even slots; needs every
-    // neighbor owner past head0.
-    wait_all(1);
-    stage_dead();
+    wait_threads(sched.edge_dep_ptr, sched.edge_deps, 1);
     FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_begin();)
-    if (!dead) for_own_rows([&](index_t i) {
-      TI sum{};
-      rows.u_dot1(i, xy, 0, sum);
-      tmp[i] = sum;
-    });
+    if (!stage_dead()) body.head1(t);
     bump();  // epoch 2
     FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_end("head1", 0, -1);)
 
     for (int it = 0; it < pairs; ++it) {
       const int p_odd = 2 * it + 1;
       const int p_even = 2 * it + 2;
-      const long long base = 2 + it * stage_pairs;
+      const long long base = 2 + it * pair_stages;
       const bool prime_next = !(it == pairs - 1 && k % 2 == 0);
 
-      // Forward stages: colors ascending, rows top-down.
-      for (index_t c = 0; c < C; ++c) {
-        const std::size_t slot = sched.slot(t, c);
+      wait_threads(sched.pair_dep_ptr, sched.pair_deps, base);
+      for (index_t st = 0; st < sched.fwd.num_stages; ++st) {
+        wait_slot(sched.fwd, sched.fwd.slot(t, st), base);
+        FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_begin();)
+        if (!stage_dead()) body.forward(t, st, p_odd);
+        bump();  // epoch base + st + 1
         FBMPK_TELEMETRY_ONLY(
-            const bool fbmpk_have_deps =
-                sched.fwd_dep_ptr[slot] < sched.fwd_dep_ptr[slot + 1];
-            if (fbmpk_have_deps && fbmpk_rec.active()) fbmpk_rec.wait_begin();
-            bool fbmpk_blocked = false;)
-        for (index_t q = sched.fwd_dep_ptr[slot];
-             q < sched.fwd_dep_ptr[slot + 1]; ++q) {
-          const SweepDep& dep = sched.fwd_deps[q];
-          const bool blocked = detail::sweep_wait(
-              epochs[dep.thread].value, base + dep.color + 1, pause_spins);
-          (void)blocked;
-          FBMPK_TELEMETRY_ONLY(fbmpk_blocked = fbmpk_blocked || blocked;)
-        }
-        stage_dead();
-        FBMPK_TELEMETRY_ONLY(
-            if (fbmpk_have_deps && fbmpk_rec.active())
-                fbmpk_rec.wait_end(fbmpk_blocked);
-            fbmpk_rec.stage_begin();)
-        if (!dead)
-          for (index_t pi = sched.part_ptr[slot];
-               pi < sched.part_ptr[slot + 1]; ++pi) {
-            const index_t b = sched.part_blocks[pi];
-            for (index_t i = o.block_ptr[b]; i < o.block_ptr[b + 1]; ++i) {
-              const auto di = rows.diag(i);
-              TI sum0 = madd(di, xy[2 * i], tmp[i]);
-              TI sum1{};
-              rows.l_dot2(i, xy, sum0, sum1);
-              xy[2 * i + 1] = sum0;
-              emit(p_odd, i, sum0);
-              tmp[i] = madd(di, sum0, sum1);
-            }
-          }
-        bump();  // epoch base + c + 1
-        FBMPK_TELEMETRY_ONLY(
-            fbmpk_rec.stage_end("F", p_odd, static_cast<int>(c));)
+            fbmpk_rec.stage_end("F", p_odd, static_cast<int>(st));)
       }
-
-      // Backward stages: colors descending, rows bottom-up.
-      for (index_t c = C; c-- > 0;) {
-        const std::size_t slot = sched.slot(t, c);
+      for (index_t st = 0; st < sched.bwd.num_stages; ++st) {
+        wait_slot(sched.bwd, sched.bwd.slot(t, st), base);
+        FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_begin();)
+        if (!stage_dead()) body.backward(t, st, p_even, prime_next);
+        bump();  // epoch base + SF + st + 1
         FBMPK_TELEMETRY_ONLY(
-            const bool fbmpk_have_deps =
-                sched.bwd_dep_ptr[slot] < sched.bwd_dep_ptr[slot + 1];
-            if (fbmpk_have_deps && fbmpk_rec.active()) fbmpk_rec.wait_begin();
-            bool fbmpk_blocked = false;)
-        for (index_t q = sched.bwd_dep_ptr[slot];
-             q < sched.bwd_dep_ptr[slot + 1]; ++q) {
-          const SweepDep& dep = sched.bwd_deps[q];
-          const bool blocked =
-              detail::sweep_wait(epochs[dep.thread].value,
-                                 base + C + (C - 1 - dep.color) + 1,
-                                 pause_spins);
-          (void)blocked;
-          FBMPK_TELEMETRY_ONLY(fbmpk_blocked = fbmpk_blocked || blocked;)
-        }
-        stage_dead();
-        FBMPK_TELEMETRY_ONLY(
-            if (fbmpk_have_deps && fbmpk_rec.active())
-                fbmpk_rec.wait_end(fbmpk_blocked);
-            fbmpk_rec.stage_begin();)
-        if (!dead)
-          for (index_t pi = sched.part_ptr[slot];
-               pi < sched.part_ptr[slot + 1]; ++pi) {
-            const index_t b = sched.part_blocks[pi];
-            for (index_t i = o.block_ptr[b + 1]; i-- > o.block_ptr[b];) {
-              TI sum0 = tmp[i];
-              if (prime_next) {
-                TI sum1{};
-                rows.u_dot2(i, xy, sum1, sum0);
-                xy[2 * i] = sum0;
-                emit(p_even, i, sum0);
-                tmp[i] = sum1;
-              } else {
-                rows.u_dot1(i, xy, 1, sum0);
-                xy[2 * i] = sum0;
-                emit(p_even, i, sum0);
-              }
-            }
-          }
-        bump();  // epoch base + C + (C-1-c) + 1
-        FBMPK_TELEMETRY_ONLY(
-            fbmpk_rec.stage_end("B", p_even, static_cast<int>(c));)
+            fbmpk_rec.stage_end("B", p_even, static_cast<int>(st));)
       }
     }
 
     if (k % 2 == 1) {
-      // Tail: reads foreign even slots; needs every neighbor owner
-      // through the whole pair sequence.
-      wait_all(2 + pairs * stage_pairs);
-      stage_dead();
+      wait_threads(sched.edge_dep_ptr, sched.edge_deps,
+                   2 + pairs * pair_stages);
       FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_begin();)
-      if (!dead) for_own_rows([&](index_t i) {
-        TI sum = madd(rows.diag(i), xy[2 * i], tmp[i]);
-        rows.l_dot1(i, xy, 0, sum);
-        emit(k, i, sum);
-      });
+      if (!stage_dead()) body.tail(t, k);
       bump();
       FBMPK_TELEMETRY_ONLY(fbmpk_rec.stage_end("tail", k, -1);)
     }
@@ -655,106 +514,6 @@ bool fbmpk_engine_try_sweep_rows(const TriangularSplit<T>& s,
   // completed head stage marks the workspace warm.
   if (ctl == nullptr || !ctl->cancelled()) ws.warmed = true;
   return true;
-}
-
-/// Engine sweep with the exact scalar row policy (the PR 2 behavior).
-template <class T, class Emit>
-bool fbmpk_engine_try_sweep(const TriangularSplit<T>& s,
-                            const AbmcOrdering& o, const SweepSchedule& sched,
-                            std::span<const T> x0, int k,
-                            SweepWorkspace<T>& ws, bool pin_threads,
-                            Emit&& emit) {
-  return fbmpk_engine_try_sweep_rows(s, o, sched, ScalarRows<T>(s), x0, k, ws,
-                                     pin_threads, std::forward<Emit>(emit));
-}
-
-/// Point-to-point sweep over an explicit row policy with automatic
-/// fallback to the per-color barrier kernel when the engine cannot
-/// run. Same emit contract and identical results either way (both
-/// paths issue the same per-row kernels).
-template <class T, class TI, class Rows, class X0, class Emit>
-void fbmpk_engine_sweep_rows(const TriangularSplit<T>& s,
-                             const AbmcOrdering& o, const SweepSchedule& sched,
-                             const Rows& rows, const X0& x0, int k,
-                             SweepWorkspace<TI>& ws, Emit&& emit,
-                             bool pin_threads = false,
-                             RunControl* ctl = nullptr) {
-  if (!fbmpk_engine_try_sweep_rows(s, o, sched, rows, x0, k, ws, pin_threads,
-                                   emit, ctl))
-    fbmpk_parallel_sweep_rows(s, o, rows, x0, k, ws.fallback, emit, ctl);
-}
-
-/// Point-to-point sweep with automatic fallback to the per-color
-/// barrier kernel when the engine cannot run. Same emit contract and
-/// bitwise-identical results either way.
-template <class T, class Emit>
-void fbmpk_engine_sweep(const TriangularSplit<T>& s, const AbmcOrdering& o,
-                        const SweepSchedule& sched, std::span<const T> x0,
-                        int k, SweepWorkspace<T>& ws, Emit&& emit,
-                        bool pin_threads = false) {
-  fbmpk_engine_sweep_rows(s, o, sched, ScalarRows<T>(s), x0, k, ws,
-                          std::forward<Emit>(emit), pin_threads);
-}
-
-/// y = A^k x0 via the persistent-threads engine.
-template <class T>
-void fbmpk_engine_power(const TriangularSplit<T>& s, const AbmcOrdering& o,
-                        const SweepSchedule& sched, std::span<const T> x0,
-                        int k, std::span<T> y, SweepWorkspace<T>& ws,
-                        bool pin_threads = false) {
-  FBMPK_CHECK(y.size() == x0.size());
-  FBMPK_CHECK(k >= 0);
-  if (k == 0) {
-    std::copy(x0.begin(), x0.end(), y.begin());
-    return;
-  }
-  T* yp = y.data();
-  fbmpk_engine_sweep(
-      s, o, sched, x0, k, ws,
-      [&](int p, index_t i, T v) {
-        if (p == k) yp[i] = v;
-      },
-      pin_threads);
-}
-
-/// Krylov basis via the persistent-threads engine.
-template <class T>
-void fbmpk_engine_power_all(const TriangularSplit<T>& s,
-                            const AbmcOrdering& o, const SweepSchedule& sched,
-                            std::span<const T> x0, int k, std::span<T> out,
-                            SweepWorkspace<T>& ws, bool pin_threads = false) {
-  const auto n = x0.size();
-  FBMPK_CHECK(out.size() == n * static_cast<std::size_t>(k + 1));
-  std::copy(x0.begin(), x0.end(), out.begin());
-  if (k == 0) return;
-  T* op = out.data();
-  fbmpk_engine_sweep(
-      s, o, sched, x0, k, ws,
-      [&](int p, index_t i, T v) {
-        op[static_cast<std::size_t>(p) * n + i] = v;
-      },
-      pin_threads);
-}
-
-/// y = sum_p coeffs[p] A^p x0 via the persistent-threads engine.
-template <class T>
-void fbmpk_engine_polynomial(const TriangularSplit<T>& s,
-                             const AbmcOrdering& o,
-                             const SweepSchedule& sched,
-                             std::span<const T> coeffs, std::span<const T> x0,
-                             std::span<T> y, SweepWorkspace<T>& ws,
-                             bool pin_threads = false) {
-  FBMPK_CHECK(!coeffs.empty());
-  FBMPK_CHECK(y.size() == x0.size());
-  const int k = static_cast<int>(coeffs.size()) - 1;
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] = coeffs[0] * x0[i];
-  if (k == 0) return;
-  T* yp = y.data();
-  const T* cp = coeffs.data();
-  fbmpk_engine_sweep(
-      s, o, sched, x0, k, ws,
-      [&](int p, index_t i, T v) { yp[i] += cp[p] * v; },
-      pin_threads);
 }
 
 }  // namespace fbmpk

@@ -159,8 +159,8 @@ void fbmpk_recurrence_sweep(const TriangularSplit<T>& s,
   }
 }
 
-/// Parallel recurrence sweep under an ABMC color schedule (same
-/// preconditions as fbmpk_parallel_sweep; bitwise-equal to the serial
+/// Parallel recurrence sweep under an ABMC color schedule (the split
+/// must come from the ABMC-permuted matrix; bitwise-equal to the serial
 /// sweep on the permuted matrix).
 template <class T, class Emit>
 void fbmpk_recurrence_parallel_sweep(const TriangularSplit<T>& s,

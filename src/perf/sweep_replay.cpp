@@ -4,7 +4,7 @@
 #include <cmath>
 #include <vector>
 
-#include "kernels/sweep_schedule.hpp"
+#include "reorder/stage_schedule.hpp"
 #include "support/timer.hpp"
 
 namespace fbmpk::perf {
@@ -62,7 +62,7 @@ struct ReplayWorld {
 
 ReplayWorld build_world(const CsrMatrix<double>& a, const AbmcOrdering* ord,
                         int threads, index_t max_sample_rows,
-                        const SweepSchedule* sched) {
+                        const StageSchedule* sched) {
   const index_t n = a.rows();
   ReplayWorld w;
 
@@ -149,22 +149,26 @@ ReplayWorld build_world(const CsrMatrix<double>& a, const AbmcOrdering* ord,
   for (auto& c : w.up_cols) c = compact(c);
 
   // Partition each color's sampled blocks across the simulated cores:
-  // the built schedule's nnz-LPT assignment when one is supplied and
-  // matches, round-robin otherwise (a fair stand-in — the oracle ranks
-  // traffic, which barely moves with the intra-color assignment).
+  // the built schedule's assignment (the thread whose forward slot runs
+  // the block's first row) when one is supplied and matches,
+  // round-robin otherwise (a fair stand-in — the oracle ranks traffic,
+  // which barely moves with the intra-color assignment).
   std::vector<index_t> thread_of_block;
-  if (sched != nullptr && !sched->empty() &&
+  if (sched != nullptr && ord != nullptr && !sched->empty() &&
       sched->num_threads == static_cast<index_t>(threads) &&
-      sched->num_blocks == num_blocks) {
-    thread_of_block.assign(static_cast<std::size_t>(num_blocks), 0);
+      sched->num_rows == n && sched->fwd.num_stages == w.num_colors) {
+    std::vector<index_t> owner(static_cast<std::size_t>(n), 0);
+    const StageDirection& d = sched->fwd;
     for (index_t t = 0; t < sched->num_threads; ++t)
-      for (index_t c = 0; c < sched->num_colors; ++c) {
-        const index_t slot = t * sched->num_colors + c;
-        for (index_t i = sched->part_ptr[slot];
-             i < sched->part_ptr[slot + 1]; ++i)
-          thread_of_block[static_cast<std::size_t>(
-              sched->part_blocks[i])] = t;
-      }
+      for (index_t r = d.range_ptr[d.slot(t, 0)];
+           r < d.range_ptr[d.slot(t, d.num_stages)]; ++r)
+        for (index_t i = d.ranges[r].begin; i < d.ranges[r].end; ++i)
+          owner[static_cast<std::size_t>(i)] = t;
+    thread_of_block.assign(static_cast<std::size_t>(num_blocks), 0);
+    for (index_t b = 0; b < num_blocks; ++b)
+      if (block_ptr[b] < block_ptr[b + 1])
+        thread_of_block[static_cast<std::size_t>(b)] =
+            owner[static_cast<std::size_t>(block_ptr[b])];
   }
   w.parts.assign(static_cast<std::size_t>(w.num_colors),
                  std::vector<std::vector<std::uint32_t>>(
@@ -398,7 +402,7 @@ ReplayPrediction run_replay(const CsrMatrix<double>& a, const ReplayWorld& w,
 ReplayPrediction replay_fbmpk_traffic(const CsrMatrix<double>& a,
                                       const AbmcOrdering* ord,
                                       const ReplayConfig& cfg,
-                                      const SweepSchedule* sched) {
+                                      const StageSchedule* sched) {
   FBMPK_CHECK(cfg.k >= 1 && cfg.threads >= 1 && cfg.nvec >= 1);
   FBMPK_CHECK(cfg.col_index_bytes > 0.0 && cfg.matrix_value_bytes > 0);
   Timer timer;

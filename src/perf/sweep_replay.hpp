@@ -30,7 +30,7 @@
 #include "sparse/csr.hpp"
 
 namespace fbmpk {
-struct SweepSchedule;  // kernels/sweep_schedule.hpp
+struct StageSchedule;  // reorder/stage_schedule.hpp
 }
 
 namespace fbmpk::perf {
@@ -77,12 +77,12 @@ struct ReplayPrediction {
 /// structure; nullptr models the natural order as one color of
 /// contiguous blocks (a serial plan). Blocks of one color are
 /// distributed round-robin across the simulated cores unless `sched`
-/// (a built SweepSchedule matching `ord` and cfg.threads) supplies the
-/// exact nnz-balanced partition.
+/// (an ABMC StageSchedule built from `ord` for cfg.threads) supplies
+/// the plan's exact block-to-thread assignment.
 ReplayPrediction replay_fbmpk_traffic(const CsrMatrix<double>& a,
                                       const AbmcOrdering* ord,
                                       const ReplayConfig& cfg,
-                                      const SweepSchedule* sched = nullptr);
+                                      const StageSchedule* sched = nullptr);
 
 /// Level-scheduled replay (Scheduler::kLevels): the same stage walk,
 /// but rows are visited in dependency-level order over the NATURAL

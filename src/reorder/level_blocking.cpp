@@ -46,69 +46,17 @@ struct ComponentFinder {
   }
 };
 
-/// Per-row placement of one direction, recomputable from the
-/// serialized arrays (used for dep derivation and validation).
-struct Placement {
-  std::vector<index_t> owner;  ///< thread owning the row (-1: unplaced)
-  std::vector<index_t> stage;  ///< stage executing the row
-  std::vector<index_t> pos;    ///< position within the owner's slot
-  bool duplicate = false;      ///< a row appeared in two slots
-};
-
-Placement placement_of(const LevelBlockDirection& d, index_t num_threads,
-                       index_t n) {
-  Placement p;
-  p.owner.assign(static_cast<std::size_t>(n), -1);
-  p.stage.assign(static_cast<std::size_t>(n), -1);
-  p.pos.assign(static_cast<std::size_t>(n), -1);
-  for (index_t t = 0; t < num_threads; ++t)
-    for (index_t s = 0; s < d.num_stages; ++s) {
-      const std::size_t slot = d.slot(t, s);
-      for (index_t q = d.part_ptr[slot]; q < d.part_ptr[slot + 1]; ++q) {
-        const index_t i = d.part_rows[q];
-        if (p.owner[i] != -1) p.duplicate = true;
-        p.owner[i] = t;
-        p.stage[i] = s;
-        p.pos[i] = q - d.part_ptr[slot];
-      }
-    }
-  return p;
-}
-
-/// Dependency levels straight from a triangle pattern (forward_levels /
-/// backward_levels minus the CsrMatrix wrapper — validation only has
-/// spans).
-std::vector<index_t> levels_from_pattern(std::span<const index_t> rp,
-                                         std::span<const index_t> ci,
-                                         index_t n, bool upper_triangle) {
-  std::vector<index_t> level_of(static_cast<std::size_t>(n), 0);
-  if (upper_triangle) {
-    for (index_t i = n; i-- > 0;) {
-      index_t lvl = 0;
-      for (index_t q = rp[i]; q < rp[i + 1]; ++q)
-        lvl = std::max(lvl, level_of[ci[q]] + 1);
-      level_of[i] = lvl;
-    }
-  } else {
-    for (index_t i = 0; i < n; ++i) {
-      index_t lvl = 0;
-      for (index_t q = rp[i]; q < rp[i + 1]; ++q)
-        lvl = std::max(lvl, level_of[ci[q]] + 1);
-      level_of[i] = lvl;
-    }
-  }
-  return level_of;
-}
-
 /// Build one direction: aggregate levels into stages, partition each
-/// stage's connected components across threads by greedy LPT.
-LevelBlockDirection build_direction(const LevelSchedule& ls,
-                                    std::span<const index_t> tri_rp,
-                                    std::span<const index_t> tri_ci,
-                                    std::span<const index_t> row_weight,
-                                    index_t n, index_t num_threads,
-                                    const LevelBlockingOptions& opts) {
-  LevelBlockDirection d;
+/// stage's connected components across threads by greedy LPT, and store
+/// each slot's rows, in execution order, as maximal row runs.
+StageDirection build_direction(const LevelSchedule& ls,
+                               std::span<const index_t> tri_rp,
+                               std::span<const index_t> tri_ci,
+                               std::span<const index_t> row_weight,
+                               index_t n, index_t num_threads,
+                               const LevelBlockingOptions& opts,
+                               bool backward) {
+  StageDirection d;
 
   std::vector<index_t> level_of(static_cast<std::size_t>(n), 0);
   for (index_t l = 0; l < ls.num_levels; ++l)
@@ -155,8 +103,9 @@ LevelBlockDirection build_direction(const LevelSchedule& ls,
 
   const std::size_t budget =
       std::max<std::size_t>(1, opts.stage_bytes / kBytesPerWeightUnit);
-  d.stage_level_ptr = aggregate_levels(level_weight, budget, acceptable);
-  d.num_stages = static_cast<index_t>(d.stage_level_ptr.size()) - 1;
+  const std::vector<index_t> stage_level_ptr =
+      aggregate_levels(level_weight, budget, acceptable);
+  d.num_stages = static_cast<index_t>(stage_level_ptr.size()) - 1;
 
   const index_t S = d.num_stages;
   const std::size_t num_slots = static_cast<std::size_t>(num_threads) * S;
@@ -167,8 +116,8 @@ LevelBlockDirection build_direction(const LevelSchedule& ls,
   std::vector<std::vector<index_t>> comp_rows;
 
   for (index_t s = 0; s < S; ++s) {
-    const index_t l0 = d.stage_level_ptr[s];
-    const index_t l1 = d.stage_level_ptr[s + 1];
+    const index_t l0 = stage_level_ptr[s];
+    const index_t l1 = stage_level_ptr[s + 1];
     const bool single_level = (l1 - l0) == 1;
     if (!single_level) unite_range(l0, l1);
 
@@ -217,242 +166,50 @@ LevelBlockDirection build_direction(const LevelSchedule& ls,
       heap.push({ld + comp_weight[c], t});
     }
 
-    // Components don't interact, so a global (level, row) sort per slot
-    // restores streaming order while keeping producers first.
+    // Components don't interact, so a global level-order sort per slot
+    // restores streaming order while keeping producers first. Rows of
+    // one level are independent: ascending for the forward sweep,
+    // descending for the backward one, so both walk maximal runs.
     for (index_t t = 0; t < num_threads; ++t) {
       auto& rows = slot_rows[d.slot(t, s)];
       std::sort(rows.begin(), rows.end(), [&](index_t a, index_t b) {
         if (level_of[a] != level_of[b]) return level_of[a] < level_of[b];
-        return a < b;
+        return backward ? a > b : a < b;
       });
     }
   }
 
-  d.part_ptr.assign(num_slots + 1, 0);
-  for (std::size_t slot = 0; slot < num_slots; ++slot)
-    d.part_ptr[slot + 1] =
-        d.part_ptr[slot] + static_cast<index_t>(slot_rows[slot].size());
-  d.part_rows.resize(static_cast<std::size_t>(n));
-  for (std::size_t slot = 0; slot < num_slots; ++slot)
-    std::copy(slot_rows[slot].begin(), slot_rows[slot].end(),
-              d.part_rows.begin() + d.part_ptr[slot]);
-  return d;
-}
-
-/// Max foreign-stage requirement per (slot, foreign thread), collected
-/// with an epoch-stamped scratch array. `record(u, s)` keeps the max.
-struct ForeignMax {
-  std::vector<index_t> best;
-  std::vector<unsigned> stamp;
-  unsigned epoch = 0;
-
-  void init(index_t num_threads) {
-    best.assign(static_cast<std::size_t>(num_threads), 0);
-    stamp.assign(static_cast<std::size_t>(num_threads), 0);
-  }
-  void reset() { ++epoch; }
-  void record(index_t u, index_t s) {
-    if (stamp[u] != epoch) {
-      stamp[u] = epoch;
-      best[u] = s;
-    } else {
-      best[u] = std::max(best[u], s);
-    }
-  }
-  bool has(index_t u) const { return stamp[u] == epoch; }
-};
-
-/// Derived within-pair dependencies of one schedule (the ground truth
-/// both the builder stores and the validator checks coverage against).
-struct DerivedDeps {
-  std::vector<index_t> fwd_dep_ptr;
-  std::vector<LevelDep> fwd_deps;
-  std::vector<index_t> bwd_dep_ptr;
-  std::vector<LevelDep> bwd_deps;
-  std::vector<index_t> bwd_fdep_ptr;
-  std::vector<LevelDep> bwd_fdeps;
-};
-
-DerivedDeps derive_deps(const LevelSweepSchedule& s, const Placement& fp,
-                        const Placement& bp,
-                        std::span<const index_t> lower_rp,
-                        std::span<const index_t> lower_ci,
-                        std::span<const index_t> upper_rp,
-                        std::span<const index_t> upper_ci) {
-  const index_t T = s.num_threads;
-  DerivedDeps out;
-  ForeignMax fmax, bmax;
-  fmax.init(T);
-  bmax.init(T);
-
-  // Column adjacency of the lower triangle: lcol[m] lists the rows i
-  // with L_im != 0 — the forward-sweep readers of xy[2m] that the
-  // backward stage overwriting xy[2m] must wait out. For structurally
-  // symmetric patterns this set equals the U-neighbors of m (already
-  // recorded below); the transpose scan is what keeps the engine
-  // correct on unsymmetric patterns.
-  const index_t n = static_cast<index_t>(lower_rp.size()) - 1;
-  std::vector<index_t> lcol_ptr(static_cast<std::size_t>(n) + 1, 0);
-  for (index_t i = 0; i < n; ++i)
-    for (index_t e = lower_rp[i]; e < lower_rp[i + 1]; ++e)
-      ++lcol_ptr[lower_ci[e] + 1];
-  for (index_t m = 0; m < n; ++m) lcol_ptr[m + 1] += lcol_ptr[m];
-  std::vector<index_t> lcol_rows(static_cast<std::size_t>(lcol_ptr[n]));
-  {
-    std::vector<index_t> fill(lcol_ptr.begin(), lcol_ptr.end() - 1);
-    for (index_t i = 0; i < n; ++i)
-      for (index_t e = lower_rp[i]; e < lower_rp[i + 1]; ++e)
-        lcol_rows[fill[lower_ci[e]]++] = i;
-  }
-
-  // Forward slot (t, sf): waits on the largest foreign forward stage
-  // among its rows' L-neighbors (the xy[2j+1] writers of this pair).
-  out.fwd_dep_ptr.push_back(0);
-  for (index_t t = 0; t < T; ++t)
-    for (index_t sf = 0; sf < s.fwd.num_stages; ++sf) {
-      fmax.reset();
-      const std::size_t slot = s.fwd.slot(t, sf);
-      for (index_t q = s.fwd.part_ptr[slot]; q < s.fwd.part_ptr[slot + 1];
-           ++q) {
-        const index_t i = s.fwd.part_rows[q];
-        for (index_t e = lower_rp[i]; e < lower_rp[i + 1]; ++e) {
-          const index_t j = lower_ci[e];
-          if (fp.owner[j] != t) fmax.record(fp.owner[j], fp.stage[j]);
-        }
-      }
-      for (index_t u = 0; u < T; ++u)
-        if (fmax.has(u)) out.fwd_deps.push_back({u, fmax.best[u]});
-      out.fwd_dep_ptr.push_back(static_cast<index_t>(out.fwd_deps.size()));
-    }
-
-  // Backward slot (t, sb): per row m it reads tmp[m] (forward writer of
-  // m), reads xy[2j]/xy[2j+1] of U-neighbors j (backward / forward
-  // writers of j), and overwrites xy[2m] whose prior readers are the
-  // forward stages of the rows in column m of L (the lcol scan above;
-  // equal to the U-neighbor set when the pattern is structurally
-  // symmetric). A backward wait on thread u subsumes every forward
-  // wait on u.
-  out.bwd_dep_ptr.push_back(0);
-  out.bwd_fdep_ptr.push_back(0);
-  for (index_t t = 0; t < T; ++t)
-    for (index_t sb = 0; sb < s.bwd.num_stages; ++sb) {
-      fmax.reset();
-      bmax.reset();
-      const std::size_t slot = s.bwd.slot(t, sb);
-      for (index_t q = s.bwd.part_ptr[slot]; q < s.bwd.part_ptr[slot + 1];
-           ++q) {
-        const index_t m = s.bwd.part_rows[q];
-        if (fp.owner[m] != t) fmax.record(fp.owner[m], fp.stage[m]);
-        for (index_t e = upper_rp[m]; e < upper_rp[m + 1]; ++e) {
-          const index_t j = upper_ci[e];
-          if (bp.owner[j] != t) bmax.record(bp.owner[j], bp.stage[j]);
-          if (fp.owner[j] != t) fmax.record(fp.owner[j], fp.stage[j]);
-        }
-        for (index_t e = lcol_ptr[m]; e < lcol_ptr[m + 1]; ++e) {
-          const index_t i = lcol_rows[e];  // forward reader of xy[2m]
-          if (fp.owner[i] != t) fmax.record(fp.owner[i], fp.stage[i]);
-        }
-      }
-      for (index_t u = 0; u < T; ++u) {
-        if (bmax.has(u))
-          out.bwd_deps.push_back({u, bmax.best[u]});
-        else if (fmax.has(u))
-          out.bwd_fdeps.push_back({u, fmax.best[u]});
-      }
-      out.bwd_dep_ptr.push_back(static_cast<index_t>(out.bwd_deps.size()));
-      out.bwd_fdep_ptr.push_back(
-          static_cast<index_t>(out.bwd_fdeps.size()));
-    }
-  return out;
-}
-
-/// Shape checks of one direction against n/T; rows permutation checked
-/// by the caller via Placement.
-bool direction_shape_ok(const LevelBlockDirection& d, index_t num_threads,
-                        index_t n) {
-  if (d.num_stages < 0) return false;
-  const std::size_t num_slots =
-      static_cast<std::size_t>(num_threads) * d.num_stages;
-  if (d.stage_level_ptr.size() !=
-      static_cast<std::size_t>(d.num_stages) + 1)
-    return false;
-  if (!d.stage_level_ptr.empty() && d.stage_level_ptr.front() != 0)
-    return false;
-  for (std::size_t q = 1; q < d.stage_level_ptr.size(); ++q)
-    if (d.stage_level_ptr[q] < d.stage_level_ptr[q - 1]) return false;
-  if (d.part_ptr.size() != num_slots + 1) return false;
-  if (d.part_ptr.front() != 0 ||
-      d.part_ptr.back() != n ||
-      d.part_rows.size() != static_cast<std::size_t>(n))
-    return false;
-  for (std::size_t q = 1; q < d.part_ptr.size(); ++q)
-    if (d.part_ptr[q] < d.part_ptr[q - 1]) return false;
-  if (d.load.size() != num_slots) return false;
-  for (index_t i : d.part_rows)
-    if (i < 0 || i >= n) return false;
-  return true;
-}
-
-/// The blocking invariant of one direction: every edge lands on a
-/// strictly earlier stage, or on the same stage owned by the same
-/// thread with the producer stored first.
-bool edges_respect_stages(const LevelBlockDirection& d, const Placement& p,
-                          std::span<const index_t> rp,
-                          std::span<const index_t> ci, index_t n) {
-  (void)d;
-  for (index_t i = 0; i < n; ++i)
-    for (index_t e = rp[i]; e < rp[i + 1]; ++e) {
-      const index_t j = ci[e];
-      if (p.stage[j] > p.stage[i]) return false;
-      if (p.stage[j] == p.stage[i]) {
-        if (p.owner[j] != p.owner[i]) return false;  // cross-thread edge
-        if (p.pos[j] >= p.pos[i]) return false;      // consumer first
-      }
-    }
-  return true;
-}
-
-/// Stored deps must cover the derived requirements: per (slot, foreign
-/// thread) the stored stage must be >= the required one; a stored
-/// backward dep covers any forward requirement on that thread.
-bool deps_cover(std::span<const index_t> stored_ptr,
-                std::span<const LevelDep> stored,
-                std::span<const index_t> required_ptr,
-                std::span<const LevelDep> required, index_t num_threads,
-                index_t num_stages, index_t own_of_slot_stride,
-                bool stage_strictly_before) {
-  const std::size_t num_slots = stored_ptr.size() - 1;
-  if (required_ptr.size() != stored_ptr.size()) return false;
-  std::vector<index_t> best(static_cast<std::size_t>(num_threads));
-  std::vector<unsigned> stamp(static_cast<std::size_t>(num_threads), 0);
-  unsigned epoch = 0;
+  // Execution order -> runs. Forward slots walk ranges in order, each
+  // ascending; backward slots walk them in reverse, each descending, so
+  // a backward slot collects descending runs and stores them reversed.
+  d.range_ptr.assign(num_slots + 1, 0);
   for (std::size_t slot = 0; slot < num_slots; ++slot) {
-    const index_t own_thread =
-        static_cast<index_t>(slot) / own_of_slot_stride;
-    const index_t own_stage =
-        static_cast<index_t>(slot) % own_of_slot_stride;
-    ++epoch;
-    for (index_t q = stored_ptr[slot]; q < stored_ptr[slot + 1]; ++q) {
-      const LevelDep& dep = stored[q];
-      if (dep.thread < 0 || dep.thread >= num_threads) return false;
-      if (dep.thread == own_thread) return false;  // self-wait
-      if (dep.stage < 0 || dep.stage >= num_stages) return false;
-      if (stage_strictly_before && dep.stage >= own_stage) return false;
-      stamp[dep.thread] = epoch;
-      best[dep.thread] = dep.stage;
+    const std::size_t first = d.ranges.size();
+    for (const index_t i : slot_rows[slot]) {
+      if (d.ranges.size() > first) {
+        RowRange& r = d.ranges.back();
+        if (!backward && r.end == i) {
+          ++r.end;
+          continue;
+        }
+        if (backward && r.begin == i + 1) {
+          --r.begin;
+          continue;
+        }
+      }
+      d.ranges.push_back({i, i + 1});
     }
-    for (index_t q = required_ptr[slot]; q < required_ptr[slot + 1]; ++q) {
-      const LevelDep& need = required[q];
-      if (stamp[need.thread] != epoch || best[need.thread] < need.stage)
-        return false;
-    }
+    if (backward)
+      std::reverse(d.ranges.begin() + static_cast<std::ptrdiff_t>(first),
+                   d.ranges.end());
+    d.range_ptr[slot + 1] = static_cast<index_t>(d.ranges.size());
   }
-  return true;
+  return d;
 }
 
 }  // namespace
 
-LevelSweepSchedule build_level_sweep_schedule(
+StageSchedule build_level_sweep_schedule(
     const LevelSchedulePair& levels, std::span<const index_t> lower_rp,
     std::span<const index_t> lower_ci, std::span<const index_t> upper_rp,
     std::span<const index_t> upper_ci, index_t num_threads,
@@ -466,117 +223,25 @@ LevelSweepSchedule build_level_sweep_schedule(
     row_weight[i] = (lower_rp[i + 1] - lower_rp[i]) +
                     (upper_rp[i + 1] - upper_rp[i]) + 1;
 
-  LevelSweepSchedule s;
+  StageSchedule s;
   s.num_threads = num_threads;
+  s.num_rows = n;
   s.fwd = build_direction(levels.forward, lower_rp, lower_ci, row_weight, n,
-                          num_threads, opts);
+                          num_threads, opts, /*backward=*/false);
   s.bwd = build_direction(levels.backward, upper_rp, upper_ci, row_weight, n,
-                          num_threads, opts);
+                          num_threads, opts, /*backward=*/true);
+  derive_stage_deps(s, lower_rp, lower_ci, upper_rp, upper_ci);
 
-  const Placement fp = placement_of(s.fwd, num_threads, n);
-  const Placement bp = placement_of(s.bwd, num_threads, n);
-  DerivedDeps deps =
-      derive_deps(s, fp, bp, lower_rp, lower_ci, upper_rp, upper_ci);
-  s.fwd_dep_ptr = std::move(deps.fwd_dep_ptr);
-  s.fwd_deps = std::move(deps.fwd_deps);
-  s.bwd_dep_ptr = std::move(deps.bwd_dep_ptr);
-  s.bwd_deps = std::move(deps.bwd_deps);
-  s.bwd_fdep_ptr = std::move(deps.bwd_fdep_ptr);
-  s.bwd_fdeps = std::move(deps.bwd_fdeps);
+  // Pair boundaries and head/tail stages rendezvous with every thread.
+  s.edge_dep_ptr.assign(static_cast<std::size_t>(num_threads) + 1, 0);
+  for (index_t t = 0; t < num_threads; ++t) {
+    for (index_t u = 0; u < num_threads; ++u)
+      if (u != t) s.edge_deps.push_back(u);
+    s.edge_dep_ptr[t + 1] = static_cast<index_t>(s.edge_deps.size());
+  }
+  s.pair_dep_ptr = s.edge_dep_ptr;
+  s.pair_deps = s.edge_deps;
   return s;
-}
-
-bool validate_level_sweep_schedule(const LevelSweepSchedule& s,
-                                   std::span<const index_t> lower_rp,
-                                   std::span<const index_t> lower_ci,
-                                   std::span<const index_t> upper_rp,
-                                   std::span<const index_t> upper_ci) {
-  if (s.num_threads < 1) return false;
-  const index_t n = static_cast<index_t>(lower_rp.size()) - 1;
-  if (static_cast<index_t>(upper_rp.size()) - 1 != n) return false;
-  if (!direction_shape_ok(s.fwd, s.num_threads, n) ||
-      !direction_shape_ok(s.bwd, s.num_threads, n))
-    return false;
-
-  const Placement fp = placement_of(s.fwd, s.num_threads, n);
-  const Placement bp = placement_of(s.bwd, s.num_threads, n);
-  if (fp.duplicate || bp.duplicate) return false;
-  for (index_t i = 0; i < n; ++i)
-    if (fp.owner[i] < 0 || bp.owner[i] < 0) return false;
-
-  // Stage level ranges must agree with the actual dependency levels.
-  const std::vector<index_t> flev =
-      levels_from_pattern(lower_rp, lower_ci, n, false);
-  const std::vector<index_t> blev =
-      levels_from_pattern(upper_rp, upper_ci, n, true);
-  const auto levels_agree = [n](const LevelBlockDirection& d,
-                                const Placement& p,
-                                const std::vector<index_t>& lev) {
-    index_t num_levels = 0;
-    for (index_t i = 0; i < n; ++i)
-      num_levels = std::max(num_levels, lev[i] + 1);
-    if (!d.stage_level_ptr.empty() && d.stage_level_ptr.back() != num_levels)
-      return false;
-    for (index_t i = 0; i < n; ++i) {
-      const index_t st = p.stage[i];
-      if (lev[i] < d.stage_level_ptr[st] ||
-          lev[i] >= d.stage_level_ptr[st + 1])
-        return false;
-    }
-    return true;
-  };
-  if (!levels_agree(s.fwd, fp, flev) || !levels_agree(s.bwd, bp, blev))
-    return false;
-
-  if (!edges_respect_stages(s.fwd, fp, lower_rp, lower_ci, n) ||
-      !edges_respect_stages(s.bwd, bp, upper_rp, upper_ci, n))
-    return false;
-
-  // Dep arrays: shapes, ranges, and coverage of the derived
-  // requirements. Forward requirements may never appear in bwd_deps'
-  // place and vice versa, so coverage is checked per array with the
-  // backward-subsumes-forward rule folded in below.
-  const std::size_t fwd_slots =
-      static_cast<std::size_t>(s.num_threads) * s.fwd.num_stages;
-  const std::size_t bwd_slots =
-      static_cast<std::size_t>(s.num_threads) * s.bwd.num_stages;
-  if (s.fwd_dep_ptr.size() != fwd_slots + 1 ||
-      s.bwd_dep_ptr.size() != bwd_slots + 1 ||
-      s.bwd_fdep_ptr.size() != bwd_slots + 1)
-    return false;
-  if (s.fwd_dep_ptr.front() != 0 || s.bwd_dep_ptr.front() != 0 ||
-      s.bwd_fdep_ptr.front() != 0)
-    return false;
-  if (s.fwd_dep_ptr.back() != static_cast<index_t>(s.fwd_deps.size()) ||
-      s.bwd_dep_ptr.back() != static_cast<index_t>(s.bwd_deps.size()) ||
-      s.bwd_fdep_ptr.back() != static_cast<index_t>(s.bwd_fdeps.size()))
-    return false;
-  for (std::size_t q = 1; q < s.fwd_dep_ptr.size(); ++q)
-    if (s.fwd_dep_ptr[q] < s.fwd_dep_ptr[q - 1]) return false;
-  for (std::size_t q = 1; q < s.bwd_dep_ptr.size(); ++q)
-    if (s.bwd_dep_ptr[q] < s.bwd_dep_ptr[q - 1]) return false;
-  for (std::size_t q = 1; q < s.bwd_fdep_ptr.size(); ++q)
-    if (s.bwd_fdep_ptr[q] < s.bwd_fdep_ptr[q - 1]) return false;
-
-  const DerivedDeps need =
-      derive_deps(s, fp, bp, lower_rp, lower_ci, upper_rp, upper_ci);
-  if (!deps_cover(s.fwd_dep_ptr, s.fwd_deps, need.fwd_dep_ptr,
-                  need.fwd_deps, s.num_threads, s.fwd.num_stages,
-                  s.fwd.num_stages, /*stage_strictly_before=*/true))
-    return false;
-  if (!deps_cover(s.bwd_dep_ptr, s.bwd_deps, need.bwd_dep_ptr,
-                  need.bwd_deps, s.num_threads, s.bwd.num_stages,
-                  s.bwd.num_stages, /*stage_strictly_before=*/true))
-    return false;
-  // bwd_fdeps target forward stages of the same pair; a stored backward
-  // dep on the same thread also satisfies a forward requirement, so the
-  // derived bwd_fdeps (which exclude threads with a backward dep by
-  // construction) must be covered literally.
-  if (!deps_cover(s.bwd_fdep_ptr, s.bwd_fdeps, need.bwd_fdep_ptr,
-                  need.bwd_fdeps, s.num_threads, s.fwd.num_stages,
-                  s.bwd.num_stages, /*stage_strictly_before=*/false))
-    return false;
-  return true;
 }
 
 }  // namespace fbmpk

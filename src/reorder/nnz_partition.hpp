@@ -1,15 +1,14 @@
 // Nonzero-balanced partitioning of ABMC color blocks across threads.
 //
-// The barrier-scheduled parallel kernels hand each thread a contiguous
-// chunk of *blocks* per color (`schedule(static)`), so one heavy block
-// serializes its whole color. This module plans by *work* instead: each
-// block is weighted by the nonzeros its rows touch in one forward +
-// backward pass (L row range + U row range + diagonal), and blocks of
-// one color are distributed with greedy LPT (longest processing time
-// first) — the classic 4/3-approximation of makespan scheduling. The
-// resulting partition is what the sweep-schedule engine executes
-// (kernels/sweep_schedule.hpp) and what the cost model's imbalance
-// metric scores (perf/cost_model.hpp).
+// Two strategies: contiguous chunks of *blocks* per color (what
+// `schedule(static)` hands out — the ABMC front-end of the stage
+// schedule uses it, reorder/stage_schedule.hpp), and planning by
+// *work*: each block is weighted by the nonzeros its rows touch in one
+// forward + backward pass (L row range + U row range + diagonal), and
+// blocks of one color are distributed with greedy LPT (longest
+// processing time first) — the classic 4/3-approximation of makespan
+// scheduling. The cost model's imbalance metric scores both
+// (perf/cost_model.hpp).
 #pragma once
 
 #include <span>

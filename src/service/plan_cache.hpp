@@ -2,7 +2,7 @@
 //
 // Entries are keyed by a 64-bit fingerprint of the input matrix
 // (dims + row_ptr + col_idx + values, two independent CRC32 streams).
-// Each entry stores BOTH the hydrated MpkPlan and its serialized v5
+// Each entry stores BOTH the hydrated MpkPlan and its serialized
 // artifact (core/plan_io.hpp): the artifact is the durable source of
 // truth, the hydrated plan a decode cache. When the hydrated pointer
 // has been dropped — or a fault-injection hook corrupted the artifact
@@ -55,7 +55,7 @@ class PlanCache {
   /// evicted and rebuilds.
   struct Entry {
     std::uint64_t key = 0;
-    std::string artifact;  ///< serialized v5 plan (source of truth)
+    std::string artifact;  ///< serialized plan (source of truth)
     std::shared_ptr<const MpkPlan> plan;
     std::atomic<int> degrade_level{0};
     std::atomic<bool> quarantined{false};

@@ -13,7 +13,7 @@
 //    requests through a cooperative RunControl token polled at sweep
 //    color/k boundaries (kTimeout), and quarantines a plan whose
 //    sweep stops making progress past a grace period;
-//  - a graceful-degradation ladder: p2p engine -> barrier kernel ->
+//  - a graceful-degradation ladder: p2p engine -> barrier rung ->
 //    serial sweep, stepped on resource failures, plus an opt-in
 //    fp32 -> fp64 plan rebuild when precision certification fails.
 //    The rung is sticky per cached plan, and every transition is

@@ -1,7 +1,7 @@
 // Release-build probe for the NullTracer zero-cost guarantee.
 //
 // This TU instantiates the serial sweeps (BtB + split) and the parallel
-// barrier sweep with their default NullTracer, exactly as release users
+// barrier rung with their default NullTracer, exactly as release users
 // do. The ctest check_notracer.cmake script then runs `nm` over the
 // resulting object: the NullTracer read/write hooks are
 // [[gnu::always_inline]] empty constexpr bodies, so no defined or
@@ -12,7 +12,7 @@
 // The same object also polices the telemetry kill switch: this TU
 // force-disables the instrumentation macros (FBMPK_TELEMETRY_FORCE_OFF,
 // mirroring what an FBMPK_TELEMETRY=OFF build does globally) and
-// instantiates the barrier and engine sweeps. check_notracer.cmake then
+// instantiates the barrier and engine rungs. check_notracer.cmake then
 // asserts no fbmpk::telemetry symbol survives — proof that the spans,
 // recorders and counters compile to nothing on the hot paths.
 //
@@ -40,18 +40,22 @@ void run_serial_split(const TriangularSplit<double>& s,
   fbmpk_power(s, x, k, y, ws, FbVariant::kSplit);
 }
 
-void run_parallel(const TriangularSplit<double>& s, const AbmcOrdering& o,
-                  std::span<const double> x, int k, std::span<double> y,
-                  FbWorkspace<double>& ws) {
-  fbmpk_parallel_power(s, o, x, k, y, ws);
+void run_barrier(const TriangularSplit<double>& s, const StageSchedule& sched,
+                 std::span<const double> x, int k, SweepWorkspace<double>& ws,
+                 std::span<double> y) {
+  double* yp = y.data();
+  fbmpk_barrier_sweep_rows(s, sched, ScalarRows<double>(s), x, k, ws,
+                           [&](int p, index_t i, double v) {
+                             if (p == k) yp[i] = v;
+                           });
 }
 
-bool run_engine(const TriangularSplit<double>& s, const AbmcOrdering& o,
-                const SweepSchedule& sched, std::span<const double> x, int k,
-                SweepWorkspace<double>& ws, std::span<double> y) {
+bool run_engine(const TriangularSplit<double>& s, const StageSchedule& sched,
+                std::span<const double> x, int k, SweepWorkspace<double>& ws,
+                std::span<double> y) {
   double* yp = y.data();
-  return fbmpk_engine_try_sweep(
-      s, o, sched, x, k, ws, /*pin_threads=*/false,
+  return fbmpk_engine_try_sweep_rows(
+      s, sched, ScalarRows<double>(s), x, k, ws, /*pin_threads=*/false,
       [&](int p, index_t i, double v) {
         if (p == k) yp[i] = v;
       });

@@ -7,7 +7,9 @@
 #include "gen/stencil.hpp"
 #include "kernels/mpk_baseline.hpp"
 #include "support/fault_inject.hpp"
+#include "support/stats.hpp"
 #include "support/threading.hpp"
+#include "support/timer.hpp"
 #include "test_util.hpp"
 
 namespace fbmpk {
@@ -224,12 +226,13 @@ TEST(AutotuneOracle, PrunesKernelConfigCandidates) {
 }
 
 // The CI `autotune-oracle` job runs this test by name. The pruned
-// sweep must time at most a third of an 8-rung ladder, and its pick —
-// looked up in the *exhaustive* measurement table, so the check is not
-// at the mercy of two independent noisy timings — must be close to the
-// exhaustive winner. 30% slack here guards the mechanism on shared CI
-// hosts; the tight 5% acceptance number is measured across the full
-// suite by bench_autotune_oracle.
+// sweep must time at most a third of an 8-rung ladder, and its pick
+// must run close to the exhaustive winner. The two sweeps time their
+// candidates at different moments, so the picks are re-timed here
+// interleaved — pick, winner, pick, winner, ... — and compared by
+// median, which puts host noise on both sides alike. 30% slack guards
+// the mechanism on shared CI hosts; the tight 5% acceptance number is
+// measured across the full suite by bench_autotune_oracle.
 TEST(AutotuneOracle, PrunedPickAgreesWithExhaustive) {
   const auto a = gen::make_laplacian_2d(60, 60);
   const int k = 4;
@@ -243,11 +246,30 @@ TEST(AutotuneOracle, PrunedPickAgreesWithExhaustive) {
   ASSERT_TRUE(pruned.oracle_used);
   EXPECT_LE(pruned.candidates_timed,
             static_cast<index_t>(std::size(candidates)) / 3);
-  double pick_seconds = -1.0;
-  for (const auto& s : exhaustive.samples)
-    if (s.num_blocks == pruned.best_blocks) pick_seconds = s.seconds;
-  ASSERT_GT(pick_seconds, 0.0) << "oracle picked an untimed candidate";
-  EXPECT_LE(pick_seconds, 1.30 * exhaustive.best_seconds)
+
+  const auto plan_with = [&](index_t blocks) {
+    PlanOptions o;
+    o.abmc.num_blocks = blocks;
+    return MpkPlan::build(a, o);
+  };
+  const MpkPlan pick = plan_with(pruned.best_blocks);
+  const MpkPlan best = plan_with(exhaustive.best_blocks);
+  const auto x = test::random_vector(a.rows(), 17);
+  AlignedVector<double> y(x.size());
+  MpkPlan::Workspace wp, wb;
+  RunningStats pick_s, best_s;
+  for (int r = 0; r < 64; ++r) {
+    Timer t;
+    pick.power(x, k, y, wp);
+    const double tp = t.seconds();
+    t.reset();
+    best.power(x, k, y, wb);
+    const double tb = t.seconds();
+    if (r < 4) continue;  // warm-up rounds
+    pick_s.add(tp);
+    best_s.add(tb);
+  }
+  EXPECT_LE(pick_s.median(), 1.30 * best_s.median())
       << "pruned pick " << pruned.best_blocks << " blocks vs exhaustive "
       << exhaustive.best_blocks;
 }

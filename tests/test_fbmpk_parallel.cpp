@@ -1,12 +1,14 @@
 // Tests for the color-scheduled parallel FBMPK (Algorithm 2): the
-// parallel kernel must equal the serial kernel bitwise on the permuted
-// matrix, for every power, block count and thread count.
+// barrier rung over the ABMC front-end's stage schedule must equal the
+// serial kernel bitwise on the permuted matrix, for every power, block
+// count and thread count.
 #include <gtest/gtest.h>
 
 #include "gen/stencil.hpp"
 #include "gen/suite.hpp"
 #include "kernels/fbmpk.hpp"
 #include "kernels/fbmpk_parallel.hpp"
+#include "reorder/stage_schedule.hpp"
 #include "kernels/mpk_baseline.hpp"
 #include "reorder/abmc.hpp"
 #include "sparse/split.hpp"
@@ -20,6 +22,7 @@ struct Prepared {
   CsrMatrix<double> permuted;
   TriangularSplit<double> split;
   AbmcOrdering schedule;
+  StageSchedule stages;
 };
 
 Prepared prepare(const CsrMatrix<double>& a, index_t num_blocks) {
@@ -29,6 +32,7 @@ Prepared prepare(const CsrMatrix<double>& a, index_t num_blocks) {
   p.schedule = abmc_order(a, opts);
   p.permuted = permute_symmetric(a, p.schedule.perm);
   p.split = split_triangular(p.permuted);
+  p.stages = build_sweep_schedule(p.schedule, p.split, max_threads());
   return p;
 }
 
@@ -43,8 +47,8 @@ TEST_P(ParallelFbmpkTest, BitwiseEqualsSerialOnPermutedMatrix) {
   const auto x = test::random_vector(400, 92);
 
   AlignedVector<double> y_par(400), y_ser(400);
-  FbWorkspace<double> wp, ws;
-  fbmpk_parallel_power<double>(p.split, p.schedule, x, k, y_par, wp);
+  FbWorkspace<double> ws;
+  test::stage_power(p.split, p.stages, x, k, y_par);
   fbmpk_power<double>(p.split, x, k, y_ser, ws);
   for (index_t i = 0; i < 400; ++i)
     ASSERT_EQ(y_par[i], y_ser[i]) << "row " << i << " k=" << k;
@@ -66,9 +70,7 @@ TEST(ParallelFbmpk, MatchesBaselineInOriginalSpaceViaPermutation) {
   // Permute input, run parallel FBMPK, unpermute output.
   AlignedVector<double> px(n), py(n), y(n), y_base(n);
   permute_vector<double>(p.schedule.perm, x, px);
-  FbWorkspace<double> ws;
-  fbmpk_parallel_power<double>(p.split, p.schedule,
-                               std::span<const double>(px), 5, py, ws);
+  test::stage_power(p.split, p.stages, std::span<const double>(px), 5, py);
   unpermute_vector<double>(p.schedule.perm, py, y);
 
   MpkWorkspace<double> mws;
@@ -82,8 +84,11 @@ TEST(ParallelFbmpk, PowerAllMatchesSerial) {
   const auto x = test::random_vector(150, 102);
   const int k = 5;
   AlignedVector<double> b_par(150 * (k + 1)), b_ser(150 * (k + 1));
-  FbWorkspace<double> wp, ws;
-  fbmpk_parallel_power_all<double>(p.split, p.schedule, x, k, b_par, wp);
+  FbWorkspace<double> ws;
+  std::copy(x.begin(), x.end(), b_par.begin());
+  test::stage_sweep(p.split, p.stages, x, k, [&](int pw, index_t i, double v) {
+    b_par[static_cast<std::size_t>(pw) * 150 + i] = v;
+  });
   fbmpk_power_all<double>(p.split, x, k, b_ser, ws);
   for (std::size_t i = 0; i < b_par.size(); ++i)
     ASSERT_EQ(b_par[i], b_ser[i]);
@@ -95,9 +100,11 @@ TEST(ParallelFbmpk, PolynomialMatchesSerial) {
   const auto x = test::random_vector(150, 104);
   const AlignedVector<double> coeffs{1.0, 0.5, -0.25, 0.125};
   AlignedVector<double> y_par(150), y_ser(150);
-  FbWorkspace<double> wp, ws;
-  fbmpk_parallel_polynomial<double>(p.split, p.schedule, coeffs, x, y_par,
-                                    wp);
+  FbWorkspace<double> ws;
+  for (index_t i = 0; i < 150; ++i) y_par[i] = coeffs[0] * x[i];
+  test::stage_sweep(p.split, p.stages, x, 3, [&](int pw, index_t i, double v) {
+    y_par[i] += coeffs[pw] * v;
+  });
   fbmpk_polynomial<double>(p.split, coeffs, x, y_ser, ws);
   for (index_t i = 0; i < 150; ++i) ASSERT_EQ(y_par[i], y_ser[i]);
 }
@@ -109,8 +116,8 @@ TEST(ParallelFbmpk, SuiteMatricesSmallScale) {
     const auto p = prepare(m.matrix, 64);
     const auto x = test::random_vector(n, 1);
     AlignedVector<double> y_par(n), y_ser(n);
-    FbWorkspace<double> wp, ws;
-    fbmpk_parallel_power<double>(p.split, p.schedule, x, 4, y_par, wp);
+    FbWorkspace<double> ws;
+    test::stage_power(p.split, p.stages, x, 4, y_par);
     fbmpk_power<double>(p.split, x, 4, y_ser, ws);
     for (index_t i = 0; i < n; ++i)
       ASSERT_EQ(y_par[i], y_ser[i]) << name << " row " << i;
@@ -122,11 +129,12 @@ TEST(ParallelFbmpk, RejectsBadSchedule) {
   const auto p = prepare(a, 8);
   const auto x = test::random_vector(50, 106);
   AlignedVector<double> y(50);
-  FbWorkspace<double> ws;
   AbmcOrdering broken = p.schedule;
   broken.block_ptr.back() = 49;  // does not cover the matrix
-  EXPECT_THROW(
-      fbmpk_parallel_power<double>(p.split, broken, x, 3, y, ws), Error);
+  EXPECT_THROW(build_sweep_schedule(broken, p.split, 2), Error);
+  StageSchedule wrong = p.stages;
+  wrong.num_rows = 49;  // built for another matrix
+  EXPECT_THROW(test::stage_power(p.split, wrong, x, 3, y), Error);
 }
 
 }  // namespace

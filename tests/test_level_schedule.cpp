@@ -1,6 +1,6 @@
 // Tests for level scheduling (paper §VII alternative parallelization):
-// schedule construction, validity, and bitwise agreement of the
-// level-scheduled FBMPK kernel with the serial kernel.
+// schedule construction, validity, and bitwise agreement of the level
+// front-end's stage schedule, on both rungs, with the serial kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,8 +9,6 @@
 #include "core/plan.hpp"
 #include "gen/stencil.hpp"
 #include "kernels/fbmpk.hpp"
-#include "kernels/fbmpk_level.hpp"
-#include "kernels/fbmpk_level_engine.hpp"
 #include "kernels/mpk_baseline.hpp"
 #include "reorder/level_blocking.hpp"
 #include "reorder/level_schedule.hpp"
@@ -89,12 +87,13 @@ TEST_P(LevelKernelTest, BitwiseEqualsSerial) {
   set_threads(threads);
   const auto a = test::random_matrix(350, 8.0, false, 77);
   const auto s = split_triangular(a);
-  const auto sched = LevelSchedulePair::of(s);
+  const auto sched = build_level_sweep_schedule(LevelSchedulePair::of(s), s,
+                                                max_threads());
   const auto x = test::random_vector(350, 78);
 
   AlignedVector<double> y_lvl(350), y_ser(350);
-  FbWorkspace<double> wl, ws;
-  fbmpk_level_power<double>(s, sched, x, k, y_lvl, wl);
+  FbWorkspace<double> ws;
+  test::stage_power(s, sched, x, k, y_lvl);
   fbmpk_power<double>(s, x, k, y_ser, ws);
   for (index_t i = 0; i < 350; ++i)
     ASSERT_EQ(y_lvl[i], y_ser[i]) << "row " << i << " k=" << k;
@@ -171,32 +170,40 @@ TEST(LevelKernel, PlanPowerAllAndPolynomial) {
 // aggregated point-to-point schedule the level engine consumes.
 
 /// Every row appears in exactly one (thread, stage) slot of `dir`.
-void expect_partition_covers(const LevelBlockDirection& dir, index_t threads,
+void expect_partition_covers(const StageDirection& dir, index_t threads,
                              index_t n) {
-  std::vector<index_t> seen(dir.part_rows.begin(), dir.part_rows.end());
+  std::vector<index_t> seen;
+  for (const RowRange& r : dir.ranges)
+    for (index_t i = r.begin; i < r.end; ++i) seen.push_back(i);
   ASSERT_EQ(seen.size(), static_cast<std::size_t>(n));
   std::sort(seen.begin(), seen.end());
   for (index_t i = 0; i < n; ++i) ASSERT_EQ(seen[i], i);
-  ASSERT_EQ(dir.part_ptr.size(),
+  ASSERT_EQ(dir.range_ptr.size(),
             static_cast<std::size_t>(threads) * dir.num_stages + 1);
 }
 
 /// The blocking invariant, asserted from first principles: inside one
-/// stage every dependency edge is intra-thread and producer-first.
-void expect_no_intra_stage_forward_dependency(
-    const LevelBlockDirection& dir, index_t threads,
-    const CsrMatrix<double>& tri, bool upper) {
+/// stage every dependency edge is intra-thread and producer-first in
+/// execution order (forward ranges in order, each ascending; backward
+/// ranges in reverse, each descending).
+void expect_no_intra_stage_forward_dependency(const StageDirection& dir,
+                                              index_t threads,
+                                              const CsrMatrix<double>& tri,
+                                              bool upper) {
   const index_t n = tri.rows();
-  std::vector<index_t> owner_thread(n, -1), owner_stage(n, -1),
-      pos(n, -1);
+  std::vector<index_t> owner_thread(n, -1), owner_stage(n, -1), pos(n, -1);
   for (index_t t = 0; t < threads; ++t)
     for (index_t s = 0; s < dir.num_stages; ++s) {
       const auto slot = dir.slot(t, s);
-      for (index_t r = dir.part_ptr[slot]; r < dir.part_ptr[slot + 1]; ++r) {
-        const index_t row = dir.part_rows[r];
-        owner_thread[row] = t;
-        owner_stage[row] = s;
-        pos[row] = r;
+      std::vector<index_t> order;
+      for (index_t r = dir.range_ptr[slot]; r < dir.range_ptr[slot + 1]; ++r)
+        for (index_t i = dir.ranges[r].begin; i < dir.ranges[r].end; ++i)
+          order.push_back(i);
+      if (upper) std::reverse(order.begin(), order.end());
+      for (std::size_t q = 0; q < order.size(); ++q) {
+        owner_thread[order[q]] = t;
+        owner_stage[order[q]] = s;
+        pos[order[q]] = static_cast<index_t>(q);
       }
     }
   for (index_t i = 0; i < n; ++i) {
@@ -205,6 +212,7 @@ void expect_no_intra_stage_forward_dependency(
       // The sweep computes row i after its dependency j (j < i forward
       // over L; j > i backward over U — both are "j first").
       ASSERT_TRUE(upper ? j > i : j < i);
+      ASSERT_LE(owner_stage[j], owner_stage[i]);
       if (owner_stage[i] != owner_stage[j]) continue;
       ASSERT_EQ(owner_thread[i], owner_thread[j])
           << "cross-thread edge inside stage " << owner_stage[i] << ": row "
@@ -228,7 +236,7 @@ TEST(LevelBlocking, ScheduleStructurallyValidAcrossThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       const auto sched = build_level_sweep_schedule(levels, s, threads);
       ASSERT_EQ(sched.num_threads, threads);
-      EXPECT_TRUE(validate_level_sweep_schedule(sched, s));
+      EXPECT_TRUE(validate_stage_schedule(sched, s));
       expect_partition_covers(sched.fwd, threads, a.rows());
       expect_partition_covers(sched.bwd, threads, a.rows());
       expect_no_intra_stage_forward_dependency(sched.fwd, threads, s.lower,
@@ -253,11 +261,11 @@ TEST(LevelBlocking, AggregationMergesLevelsUnderSmallBudgets) {
   LevelBlockingOptions big;
   big.stage_bytes = 64u << 20;
   const auto merged = build_level_sweep_schedule(levels, s, 1, big);
-  EXPECT_TRUE(validate_level_sweep_schedule(merged, s));
+  EXPECT_TRUE(validate_stage_schedule(merged, s));
   EXPECT_LT(merged.fwd.num_stages, levels.forward.num_levels / 2);
 
   const auto two = build_level_sweep_schedule(levels, s, 2, big);
-  EXPECT_TRUE(validate_level_sweep_schedule(two, s));
+  EXPECT_TRUE(validate_stage_schedule(two, s));
 }
 
 TEST(LevelBlocking, ValidatorRejectsCorruptedSchedules) {
@@ -265,31 +273,31 @@ TEST(LevelBlocking, ValidatorRejectsCorruptedSchedules) {
   const auto s = split_triangular(a);
   const auto levels = LevelSchedulePair::of(s);
   const auto good = build_level_sweep_schedule(levels, s, 4);
-  ASSERT_TRUE(validate_level_sweep_schedule(good, s));
+  ASSERT_TRUE(validate_stage_schedule(good, s));
 
   {  // duplicated row: partition no longer covers each row once
     auto bad = good;
-    ASSERT_GE(bad.fwd.part_rows.size(), 2u);
-    bad.fwd.part_rows[0] = bad.fwd.part_rows[1];
-    EXPECT_FALSE(validate_level_sweep_schedule(bad, s));
+    ASSERT_GE(bad.fwd.ranges.size(), 2u);
+    bad.fwd.ranges[1] = bad.fwd.ranges[0];
+    EXPECT_FALSE(validate_stage_schedule(bad, s));
   }
   {  // truncated stage map
     auto bad = good;
-    bad.fwd.stage_level_ptr.pop_back();
-    EXPECT_FALSE(validate_level_sweep_schedule(bad, s));
+    bad.fwd.range_ptr.pop_back();
+    EXPECT_FALSE(validate_stage_schedule(bad, s));
   }
-  if (!good.fwd_deps.empty()) {  // dropped point-to-point coverage
+  {  // dropped point-to-point coverage
     auto bad = good;
-    for (auto& d : bad.fwd_deps) d.stage = 0;
-    bad.fwd_deps.clear();
-    std::fill(bad.fwd_dep_ptr.begin(), bad.fwd_dep_ptr.end(), 0);
-    EXPECT_FALSE(validate_level_sweep_schedule(bad, s));
+    ASSERT_FALSE(bad.fwd.deps.empty());
+    bad.fwd.deps.clear();
+    std::fill(bad.fwd.dep_ptr.begin(), bad.fwd.dep_ptr.end(), 0);
+    EXPECT_FALSE(validate_stage_schedule(bad, s));
   }
 }
 
 // ---------------------------------------------------------------------
-// Level engine (kernels/fbmpk_level_engine): bitwise agreement with the
-// serial kernel across thread counts and odd/even k.
+// Engine rung over the level front-end's schedule: bitwise agreement
+// with the serial kernel across thread counts and odd/even k.
 
 class LevelEngineTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -305,9 +313,8 @@ TEST_P(LevelEngineTest, BitwiseEqualsSerial) {
   const auto x = test::random_vector(340, 92);
 
   AlignedVector<double> y_eng(340), y_ser(340);
-  SweepWorkspace<double> we;
   FbWorkspace<double> ws;
-  fbmpk_level_engine_power<double>(s, levels, sched, x, k, y_eng, we);
+  test::stage_power(s, sched, x, k, y_eng, /*engine=*/true);
   fbmpk_power<double>(s, x, k, y_ser, ws);
   for (index_t i = 0; i < 340; ++i)
     ASSERT_EQ(y_eng[i], y_ser[i]) << "row " << i << " k=" << k;
@@ -327,8 +334,8 @@ TEST(LevelEngine, PlanPointToPointUsesLevelScheduleAndMatchesSerial) {
   opts.scheduler = Scheduler::kLevels;
   opts.sweep.sync = SweepSync::kPointToPoint;
   auto plan = MpkPlan::build(a, opts);
-  ASSERT_FALSE(plan.level_sweep_schedule().empty());
-  EXPECT_EQ(plan.level_sweep_schedule().num_threads,
+  ASSERT_FALSE(plan.stage_schedule().empty());
+  EXPECT_EQ(plan.stage_schedule().num_threads,
             static_cast<index_t>(max_threads()));
 
   // The levels plan runs the natural order, so the bitwise oracle is

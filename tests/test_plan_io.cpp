@@ -480,7 +480,7 @@ TEST(PlanIo, TunedConfigRoundTripsAndRevalidatesStaleness) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan format v7: the level-blocked schedule (LVLS) and the scheduler
+// The stage schedule (STGS) of a level-scheduled plan and the scheduler
 // provenance fields of TUNE.
 // ---------------------------------------------------------------------------
 
@@ -491,20 +491,21 @@ TEST(PlanIo, RoundTripLevelEnginePlanWithSchedule) {
   opts.scheduler = Scheduler::kLevels;
   opts.sweep.sync = SweepSync::kPointToPoint;
   auto plan = MpkPlan::build(a, opts);
-  ASSERT_FALSE(plan.level_sweep_schedule().empty());
+  ASSERT_FALSE(plan.stage_schedule().empty());
 
   std::stringstream buf;
   save_plan(plan, buf);
   auto loaded = load_plan(buf);
   EXPECT_EQ(loaded.options().scheduler, Scheduler::kLevels);
   EXPECT_EQ(loaded.options().sweep.sync, SweepSync::kPointToPoint);
-  ASSERT_FALSE(loaded.level_sweep_schedule().empty());
-  EXPECT_EQ(loaded.level_sweep_schedule().num_threads,
-            plan.level_sweep_schedule().num_threads);
-  EXPECT_EQ(loaded.level_sweep_schedule().fwd.num_stages,
-            plan.level_sweep_schedule().fwd.num_stages);
-  EXPECT_EQ(loaded.level_sweep_schedule().fwd.part_rows,
-            plan.level_sweep_schedule().fwd.part_rows);
+  ASSERT_FALSE(loaded.stage_schedule().empty());
+  EXPECT_EQ(loaded.stage_schedule().num_threads,
+            plan.stage_schedule().num_threads);
+  EXPECT_EQ(loaded.stage_schedule().fwd.num_stages,
+            plan.stage_schedule().fwd.num_stages);
+  EXPECT_EQ(loaded.stage_schedule().fwd.ranges,
+            plan.stage_schedule().fwd.ranges);
+  EXPECT_EQ(loaded.stage_schedule().bwd.deps, plan.stage_schedule().bwd.deps);
   expect_plans_equivalent(plan, loaded, a, 5);
 }
 
@@ -519,17 +520,23 @@ TEST(PlanIo, MismatchedThreadCountRebuildsLevelSchedule) {
   // plan "on a 2-core box", load it "on a 3-core box".
   set_threads(2);
   auto plan = MpkPlan::build(a, opts);
-  ASSERT_EQ(plan.level_sweep_schedule().num_threads, 2);
+  ASSERT_EQ(plan.stage_schedule().num_threads, 2);
   std::stringstream buf;
   save_plan(plan, buf);
 
   set_threads(3);
   auto loaded = load_plan(buf);
   set_threads(dflt);
-  // The loader rebuilds the schedule for the runtime default, exactly
-  // like the ABMC SWEP section.
-  EXPECT_EQ(loaded.level_sweep_schedule().num_threads, 3);
+  // The loader rebuilds the schedule for the runtime default.
+  EXPECT_EQ(loaded.stage_schedule().num_threads, 3);
+  EXPECT_EQ(loaded.stats().sweep_threads, 3);
   expect_plans_equivalent(plan, loaded, a, 5);
+}
+
+/// Offset of the STGS frame ('STGS' as a little-endian u32 -> the byte
+/// string "SGTS") in a serialized plan.
+std::size_t stages_frame(const std::string& stream) {
+  return stream.rfind(std::string{'S', 'G', 'T', 'S'});
 }
 
 TEST(PlanIo, TamperedLevelScheduleFailsValidation) {
@@ -539,39 +546,29 @@ TEST(PlanIo, TamperedLevelScheduleFailsValidation) {
   opts.scheduler = Scheduler::kLevels;
   opts.sweep.sync = SweepSync::kPointToPoint;
   auto plan = MpkPlan::build(a, opts);
-  const auto& ls = plan.level_sweep_schedule();
-  ASSERT_FALSE(ls.empty());
+  const auto& ss = plan.stage_schedule();
+  ASSERT_FALSE(ss.empty());
   std::stringstream buf;
   save_plan(plan, buf);
   std::string stream = buf.str();
 
-  // Locate the LVLS frame ('LVLS' as a little-endian u32 -> the byte
-  // string "SLVL") and flip the low bit of the first fwd.part_rows
-  // entry. The section starts with the two LevelSchedules (num_levels
-  // pod + level_ptr/rows vecs each) before the v7 blocked-schedule
-  // extension. The shape checks still pass — the partition merely
-  // names a duplicate row — so only validate_level_sweep_schedule can
-  // catch it.
-  const auto sched_bytes = [](const LevelSchedule& s) {
-    return 4 + (8 + 4 * s.level_ptr.size()) + (8 + 4 * s.rows.size());
-  };
-  const std::string tag = {'S', 'L', 'V', 'L'};
-  const std::size_t lvls = stream.rfind(tag);
-  ASSERT_NE(lvls, std::string::npos);
-  const std::size_t first_part_row =
-      lvls + 12 + sched_bytes(plan.levels().forward) +
-      sched_bytes(plan.levels().backward) + 4 /*num_threads*/ +
-      4 /*fwd.num_stages*/ + (8 + 4 * ls.fwd.stage_level_ptr.size()) +
-      (8 + 4 * ls.fwd.part_ptr.size()) + 8 /*part_rows size*/;
-  ASSERT_LT(first_part_row, stream.size());
-  stream[first_part_row] = static_cast<char>(
-      static_cast<unsigned char>(stream[first_part_row]) ^ 0x01);
+  // Flip the low bit of the first forward range's `begin`. The shape
+  // checks still pass — the slot merely drops or repeats a row — so
+  // only validate_stage_schedule can catch it.
+  const std::size_t stgs = stages_frame(stream);
+  ASSERT_NE(stgs, std::string::npos);
+  const std::size_t first_begin =
+      stgs + 12 + 4 /*num_threads*/ + 4 /*num_rows*/ + 4 /*fwd.num_stages*/ +
+      (8 + 4 * ss.fwd.range_ptr.size()) + 8 /*ranges size*/;
+  ASSERT_LT(first_begin, stream.size());
+  stream[first_begin] = static_cast<char>(
+      static_cast<unsigned char>(stream[first_begin]) ^ 0x01);
   fix_crc(stream);
 
   std::stringstream tampered(stream);
   try {
     load_plan(tampered);
-    FAIL() << "tampered level schedule was accepted";
+    FAIL() << "tampered stage schedule was accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCorruptPlan);
   }
@@ -587,60 +584,54 @@ TEST(PlanIo, TruncatedLevelSectionIsRejected) {
   std::stringstream buf;
   save_plan(plan, buf);
   const std::string full = buf.str();
-  const std::size_t lvls = full.rfind(std::string{'S', 'L', 'V', 'L'});
-  ASSERT_NE(lvls, std::string::npos);
+  const std::size_t stgs = stages_frame(full);
+  ASSERT_NE(stgs, std::string::npos);
 
-  // Cut the stream in the middle of the LVLS payload.
-  std::stringstream truncated(full.substr(0, lvls + 24));
+  // Cut the stream in the middle of the STGS payload.
+  std::stringstream truncated(full.substr(0, stgs + 24));
   try {
     load_plan(truncated);
-    FAIL() << "truncated level section was accepted";
+    FAIL() << "truncated stage section was accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCorruptPlan);
   }
 }
 
-TEST(PlanIo, LevelScheduleOnNonLevelPlanIsCorrupt) {
-  // A stream whose LVLS section is non-empty while the plan is not a
-  // parallel level plan must be rejected: craft it by flipping the
-  // OPTS scheduler enum of a levels plan to kAbmc. (The reorder flag
-  // also differs between the two builds, so locate the scheduler word
-  // by diffing against a second levels build with ABMC claimed via the
-  // enum alone.)
+TEST(PlanIo, StageScheduleOnSerialPlanIsCorrupt) {
+  // A stream whose STGS section is non-empty while the plan is serial
+  // must be rejected: craft it by flipping the OPTS `parallel` flag of
+  // a parallel plan (located by diffing against a serial build).
   const auto a = test::random_matrix(150, 6.0, true, 59);
-  PlanOptions lv;
-  lv.reorder = true;  // keep every other OPTS byte identical to ABMC
-  lv.scheduler = Scheduler::kLevels;
-  lv.sweep.sync = SweepSync::kPointToPoint;
-  auto plan_lv = MpkPlan::build(a, lv);
-  ASSERT_FALSE(plan_lv.level_sweep_schedule().empty());
-  PlanOptions ab = lv;
-  ab.scheduler = Scheduler::kAbmc;
-  auto plan_ab = MpkPlan::build(a, ab);
-  std::stringstream bl, ba;
-  save_plan(plan_lv, bl);
-  save_plan(plan_ab, ba);
-  std::string s_lv = bl.str();
-  const std::string s_ab = ba.str();
+  PlanOptions par;
+  auto plan_par = MpkPlan::build(a, par);
+  ASSERT_FALSE(plan_par.stage_schedule().empty());
+  PlanOptions ser = par;
+  ser.parallel = false;
+  auto plan_ser = MpkPlan::build(a, ser);
+  std::stringstream bp, bs;
+  save_plan(plan_par, bp);
+  save_plan(plan_ser, bs);
+  std::string s_par = bp.str();
+  const std::string s_ser = bs.str();
 
-  // The first differing payload byte is the serialized scheduler enum.
+  // The first differing payload byte is the serialized parallel flag.
   std::size_t pos = std::string::npos;
   for (std::size_t i = kHeaderBytes;
-       i < std::min(s_lv.size(), s_ab.size()); ++i) {
-    if (s_lv[i] != s_ab[i]) {
+       i < std::min(s_par.size(), s_ser.size()); ++i) {
+    if (s_par[i] != s_ser[i]) {
       pos = i;
       break;
     }
   }
   ASSERT_NE(pos, std::string::npos);
-  ASSERT_EQ(s_lv[pos], 1);  // Scheduler::kLevels as u32 LSB
-  s_lv[pos] = 0;            // claim kAbmc; LVLS payload stays
-  fix_crc(s_lv);
+  ASSERT_EQ(s_par[pos], 1);
+  s_par[pos] = 0;  // claim serial; STGS payload stays
+  fix_crc(s_par);
 
-  std::stringstream tampered(s_lv);
+  std::stringstream tampered(s_par);
   try {
     load_plan(tampered);
-    FAIL() << "level schedule on an ABMC plan was accepted";
+    FAIL() << "stage schedule on a serial plan was accepted";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCorruptPlan);
   }
@@ -667,72 +658,21 @@ TEST(PlanIo, SchedulerProvenanceRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Backward compatibility: committed v4 fixtures (written by the PR 3
-// build, before VALP/TUNE existed) must still load, defaulting to fp64
-// values and a never-tuned config, and reproduce today's numerics.
+// Retired formats: plans are cache artifacts, so the committed v4 and v6
+// fixtures (written by earlier builds) must fail typed rather than load,
+// and their owner rebuilds them (PlanCache does so on any load failure —
+// ServiceTest.RetiredFormatArtifactIsRebuilt).
 // ---------------------------------------------------------------------------
 
-TEST(PlanIo, V4GoldenPlansStillLoad) {
-  struct Fixture {
-    const char* file;
-    bool compressed;
-  };
-  for (const Fixture f : {Fixture{"plan_v4.bin", false},
-                          Fixture{"plan_v4_packed.bin", true}}) {
-    SCOPED_TRACE(f.file);
-    auto loaded = load_plan_file(std::string(FBMPK_TEST_GOLDEN_DIR) + "/" +
-                                 f.file);
-    EXPECT_EQ(loaded.rows(), 64);  // laplacian_2d(8, 8)
-    EXPECT_EQ(loaded.options().value_precision, ValuePrecision::kFp64);
-    EXPECT_EQ(loaded.options().index_compress, f.compressed);
-    EXPECT_EQ(loaded.stats().packed_value_bytes, 0u);
-    EXPECT_FALSE(loaded.tuned_config().valid);
-    EXPECT_TRUE(loaded.options().autotune_oracle);  // v6 default
-    EXPECT_FALSE(loaded.tuned_config().oracle_used);
-
-    // The v4 plan must compute exactly what a fresh build computes.
-    const auto a = gen::make_laplacian_2d(8, 8);
-    PlanOptions opts;
-    opts.index_compress = f.compressed;
-    auto fresh = MpkPlan::build(a, opts);
-    expect_plans_equivalent(fresh, loaded, a, 5);
+TEST(PlanIo, RetiredFormatFixturesFailWithVersionMismatch) {
+  for (const char* file : {"plan_v4.bin", "plan_v4_packed.bin",
+                           "plan_v6.bin"}) {
+    SCOPED_TRACE(file);
+    const auto r = try_load_plan_file(std::string(FBMPK_TEST_GOLDEN_DIR) +
+                                      "/" + file);
+    ASSERT_FALSE(r);
+    EXPECT_EQ(r.code(), ErrorCode::kVersionMismatch);
   }
-}
-
-TEST(PlanIo, V6GoldenLevelsPlanStillLoads) {
-  // Committed by the pre-v7 build: a parallel level-scheduled plan
-  // (reorder off, barrier sync) over test::random_matrix(200, 7.0,
-  // symmetric, seed 5). v6 streams carry no LVLS blocked-schedule
-  // extension and no TUNE scheduler provenance; both must default.
-  auto loaded = load_plan_file(std::string(FBMPK_TEST_GOLDEN_DIR) +
-                               "/plan_v6.bin");
-  EXPECT_EQ(loaded.rows(), 200);
-  EXPECT_EQ(loaded.options().scheduler, Scheduler::kLevels);
-  EXPECT_TRUE(loaded.options().parallel);
-  EXPECT_FALSE(loaded.options().reorder);
-  EXPECT_GT(loaded.stats().num_levels_forward, 1);
-  EXPECT_FALSE(loaded.tuned_config().valid);
-  EXPECT_EQ(loaded.tuned_config().scheduler, Scheduler::kAbmc);
-  EXPECT_FALSE(loaded.tuned_config().scheduler_measured);
-  // Barrier sync: the blocked schedule stays absent even after the
-  // load-time upgrade (it is a point-to-point structure).
-  EXPECT_TRUE(loaded.level_sweep_schedule().empty());
-
-  // The v6 plan must compute exactly what a fresh v7 build computes.
-  const auto a = test::random_matrix(200, 7.0, true, 5);
-  PlanOptions opts;
-  opts.reorder = false;
-  opts.scheduler = Scheduler::kLevels;
-  auto fresh = MpkPlan::build(a, opts);
-  expect_plans_equivalent(fresh, loaded, a, 5);
-
-  // And the upgraded engine path agrees bitwise too: a fresh
-  // point-to-point build over the same matrix runs the same per-row
-  // kernels the v6 barrier plan does.
-  PlanOptions p2p = opts;
-  p2p.sweep.sync = SweepSync::kPointToPoint;
-  auto engine = MpkPlan::build(a, p2p);
-  expect_plans_equivalent(engine, loaded, a, 5);
 }
 
 TEST(PlanIo, LoadedPlanMatchesBaselineNumerics) {

@@ -35,8 +35,6 @@
 #include <vector>
 
 #include "core/plan.hpp"
-#include "gen/kkt.hpp"
-#include "gen/stencil.hpp"
 #include "kernels/dispatch.hpp"
 #include "sparse/packed_tri.hpp"
 #include "test_util.hpp"
@@ -89,32 +87,6 @@ double error_bound(int k, double m, double eps_prec, double anorm,
   return 8.0 * k * (m * eps64 + eps_prec) * std::pow(anorm, k) * xnorm;
 }
 
-/// A random matrix from one of four structurally distinct families.
-CsrMatrix<double> draw_matrix(test::Xorshift64& rng) {
-  switch (rng.next() % 4) {
-    case 0:  // symmetric banded (stencil-like after reordering)
-      return test::random_matrix(
-          static_cast<index_t>(rng.in_range(120, 280)),
-          4.0 + 6.0 * rng.uniform(), /*symmetric=*/true, rng.next());
-    case 1:  // unsymmetric banded
-      return test::random_matrix(
-          static_cast<index_t>(rng.in_range(100, 240)),
-          4.0 + 5.0 * rng.uniform(), /*symmetric=*/false, rng.next());
-    case 2:  // 2D Laplacian stencil
-      return gen::make_laplacian_2d(
-          static_cast<index_t>(rng.in_range(9, 17)),
-          static_cast<index_t>(rng.in_range(9, 17)));
-    default: {  // KKT saddle point
-      gen::KktOptions o;
-      o.seed = rng.next();
-      return gen::make_kkt_saddle(static_cast<index_t>(rng.in_range(3, 5)),
-                                  static_cast<index_t>(rng.in_range(3, 5)),
-                                  static_cast<index_t>(rng.in_range(3, 5)),
-                                  o);
-    }
-  }
-}
-
 /// Quantize values to a coarse binary grid so each survives the hi/lo
 /// float round-trip: the resulting matrix is split-lossless.
 CsrMatrix<double> quantize_values(const CsrMatrix<double>& a) {
@@ -142,21 +114,6 @@ bool exact_backend(KernelBackend b) {
   return b == KernelBackend::kScalar || b == KernelBackend::kGeneric;
 }
 
-/// FBMPK_SCHEDULER env filter over the parallel-schedule axis.
-struct SchedulerFilter {
-  bool abmc = true;
-  bool levels = true;
-};
-
-SchedulerFilter scheduler_filter() {
-  const char* e = std::getenv("FBMPK_SCHEDULER");
-  if (e == nullptr) return {};
-  const std::string s(e);
-  if (s == "abmc") return {true, false};
-  if (s == "levels") return {false, true};
-  return {};
-}
-
 /// One parallel plan of the schedule axis. The level plans run the
 /// natural order (reorder off — the scheduler's home turf), so their
 /// bitwise oracle is the *natural-order* serial plan: the permutation
@@ -171,7 +128,7 @@ struct SchedPlan {
 /// ABMC barrier + engine, level barrier + engine (natural order).
 std::vector<SchedPlan> parallel_plans(const CsrMatrix<double>& a,
                                       const PlanOptions& serial) {
-  const SchedulerFilter f = scheduler_filter();
+  const test::SchedulerFilter f = test::scheduler_filter();
   std::vector<SchedPlan> plans;
   PlanOptions barrier = serial;
   barrier.parallel = true;
@@ -367,7 +324,7 @@ TEST(PropertyRandom, BatchedLanesMatchSerialOracleBitwise) {
     SCOPED_TRACE("FBMPK_PROP_SEED=" + std::to_string(seed));
     test::Xorshift64 rng(0x42415443ull ^
                          (static_cast<std::uint64_t>(seed) << 32));
-    const auto a = draw_matrix(rng);
+    const auto a = test::draw_property_matrix(rng);
     const int k = static_cast<int>(rng.in_range(2, 6));
     check_batched_case(a, k, rng);
   }
@@ -379,7 +336,7 @@ TEST(PropertyRandom, MixedPrecisionCrossProductHoldsOverRandomCases) {
     SCOPED_TRACE("FBMPK_PROP_SEED=" + std::to_string(seed));
     test::Xorshift64 rng(0x46424d504bull ^
                          (static_cast<std::uint64_t>(seed) << 32));
-    const auto a = draw_matrix(rng);
+    const auto a = test::draw_property_matrix(rng);
     const auto x = test::random_vector(a.rows(), rng.next());
     const int k = static_cast<int>(rng.in_range(2, 6));
     check_case(a, x, k);
@@ -392,7 +349,7 @@ TEST(PropertyRandom, QuantizedMatrixIsSplitLosslessAndBitwiseExact) {
     SCOPED_TRACE("FBMPK_PROP_SEED=" + std::to_string(seed));
     test::Xorshift64 rng(0x51554e54ull ^
                          (static_cast<std::uint64_t>(seed) << 32));
-    const auto a = quantize_values(draw_matrix(rng));
+    const auto a = quantize_values(test::draw_property_matrix(rng));
     const auto x = test::random_vector(a.rows(), rng.next());
     const int k = static_cast<int>(rng.in_range(2, 6));
 

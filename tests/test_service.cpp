@@ -7,9 +7,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "core/plan_io.hpp"
 #include "gen/stencil.hpp"
 #include "service/plan_cache.hpp"
 #include "service/service.hpp"
@@ -305,6 +307,34 @@ TEST_F(ServiceTest, CorruptCacheEntryIsEvictedAndRebuilt) {
   EXPECT_EQ(st.cache.corrupt_evictions, 1u);
   EXPECT_EQ(st.cache.misses, 2u);
   expect_bitwise_equal(y, serial_oracle(a, x, 3, opts.plan));
+}
+
+TEST_F(ServiceTest, RetiredFormatArtifactIsRebuilt) {
+  // An artifact whose header names a plan format this build does not
+  // read (bump the version word, byte 8) fails rehydration with
+  // kVersionMismatch — the verdict retired v4-v7 files get
+  // (PlanIo.RetiredFormatFixturesFailWithVersionMismatch) — and the
+  // cache rebuilds it from the matrix instead of serving it.
+  const auto a = gen::make_laplacian_2d(12, 12);
+  const auto key = fingerprint(a);
+  PlanCache cache(2);
+  int builds = 0;
+  const auto build = [&] {
+    ++builds;
+    return MpkPlan::build(a);
+  };
+  cache.acquire(key, build);
+  ASSERT_TRUE(cache.corrupt_entry(key, 8));
+
+  const PlanCache::Lease lease = cache.acquire(key, build);
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(cache.stats().corrupt_evictions, 1u);
+  std::istringstream in(lease.entry->artifact);
+  EXPECT_TRUE(try_load_plan(in));  // the rebuilt artifact is current
+  std::string retired = lease.entry->artifact;
+  retired[8] ^= 0x01;
+  std::istringstream old(retired);
+  EXPECT_EQ(try_load_plan(old).code(), ErrorCode::kVersionMismatch);
 }
 
 TEST_F(ServiceTest, InjectedCorruptionFaultTriggersRebuildOnHitPath) {

@@ -1,9 +1,9 @@
-// Tests for the persistent-threads sweep engine (docs/PARALLELISM.md):
-// the point-to-point engine must equal the serial FBMPK kernel bitwise
-// for every thread count, power parity and matrix family, the schedule
-// must validate structurally and survive plan serialization, and every
-// unsafe configuration must fall back to the barrier kernel rather
-// than produce a different answer.
+// Tests for the persistent-threads engine over the ABMC front-end's
+// stage schedule (docs/PARALLELISM.md): the point-to-point engine must
+// equal the serial FBMPK kernel bitwise for every thread count, power
+// parity and matrix family, the schedule must validate and survive plan
+// serialization, and every unsafe configuration must fall back to the
+// barrier rung rather than produce a different answer.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -15,10 +15,10 @@
 #include "gen/stencil.hpp"
 #include "kernels/fbmpk.hpp"
 #include "kernels/fbmpk_parallel.hpp"
-#include "kernels/sweep_schedule.hpp"
 #include "perf/cost_model.hpp"
 #include "reorder/abmc.hpp"
 #include "reorder/nnz_partition.hpp"
+#include "reorder/stage_schedule.hpp"
 #include "sparse/split.hpp"
 #include "support/threading.hpp"
 #include "test_util.hpp"
@@ -72,13 +72,12 @@ TEST_P(SweepEngineTest, BitwiseEqualsSerialAcrossMatrixFamilies) {
     const auto p = prepare(a, 24);
     const auto sched =
         build_sweep_schedule(p.schedule, p.split, threads);
-    ASSERT_TRUE(validate_sweep_schedule(sched, p.schedule)) << name;
+    ASSERT_TRUE(validate_stage_schedule(sched, p.split)) << name;
     const auto x = test::random_vector(n, 23);
 
     AlignedVector<double> y_eng(n), y_ser(n);
-    SweepWorkspace<double> we;
     FbWorkspace<double> ws;
-    fbmpk_engine_power<double>(p.split, p.schedule, sched, x, k, y_eng, we);
+    test::stage_power(p.split, sched, x, k, y_eng, /*engine=*/true);
     fbmpk_power<double>(p.split, x, k, y_ser, ws);
     for (index_t i = 0; i < n; ++i)
       ASSERT_EQ(y_eng[i], y_ser[i])
@@ -103,9 +102,14 @@ TEST(SweepEngine, PowerAllMatchesSerialBitwise) {
   const auto x = test::random_vector(200, 32);
   const int k = 5;
   AlignedVector<double> b_eng(200 * (k + 1)), b_ser(200 * (k + 1));
-  SweepWorkspace<double> we;
   FbWorkspace<double> ws;
-  fbmpk_engine_power_all<double>(p.split, p.schedule, sched, x, k, b_eng, we);
+  std::copy(x.begin(), x.end(), b_eng.begin());
+  test::stage_sweep(
+      p.split, sched, x, k,
+      [&](int pw, index_t i, double v) {
+        b_eng[static_cast<std::size_t>(pw) * 200 + i] = v;
+      },
+      /*engine=*/true);
   fbmpk_power_all<double>(p.split, x, k, b_ser, ws);
   for (std::size_t i = 0; i < b_eng.size(); ++i)
     ASSERT_EQ(b_eng[i], b_ser[i]) << "entry " << i;
@@ -120,10 +124,12 @@ TEST(SweepEngine, PolynomialMatchesSerialBitwise) {
   const auto x = test::random_vector(200, 34);
   const AlignedVector<double> coeffs{2.0, -1.0, 0.5, -0.25, 0.125};
   AlignedVector<double> y_eng(200), y_ser(200);
-  SweepWorkspace<double> we;
   FbWorkspace<double> ws;
-  fbmpk_engine_polynomial<double>(p.split, p.schedule, sched, coeffs, x,
-                                  y_eng, we);
+  for (index_t i = 0; i < 200; ++i) y_eng[i] = coeffs[0] * x[i];
+  test::stage_sweep(
+      p.split, sched, x, 4,
+      [&](int pw, index_t i, double v) { y_eng[i] += coeffs[pw] * v; },
+      /*engine=*/true);
   fbmpk_polynomial<double>(p.split, coeffs, x, y_ser, ws);
   for (index_t i = 0; i < 200; ++i) ASSERT_EQ(y_eng[i], y_ser[i]);
 }
@@ -142,8 +148,7 @@ TEST(SweepEngine, WorkspaceReusesAcrossPowersAndMatrices) {
     for (const int k : {0, 1, 4, 5}) {
       AlignedVector<double> y_eng(n), y_ser(n);
       FbWorkspace<double> ws;
-      fbmpk_engine_power<double>(p.split, p.schedule, sched, x, k, y_eng,
-                                 we);
+      test::stage_power(p.split, sched, x, k, y_eng, /*engine=*/true, &we);
       fbmpk_power<double>(p.split, x, k, y_ser, ws);
       for (index_t i = 0; i < n; ++i)
         ASSERT_EQ(y_eng[i], y_ser[i]) << "n=" << n << " k=" << k;
@@ -153,8 +158,9 @@ TEST(SweepEngine, WorkspaceReusesAcrossPowersAndMatrices) {
 
 TEST(SweepEngine, OversubscribedScheduleFallsBackBitwiseCorrect) {
   // A schedule built for more threads than the runtime offers cannot
-  // run point-to-point; try must refuse and the wrapper must still
-  // produce the serial answer through the barrier fallback.
+  // run point-to-point; try must refuse, and the barrier rung — folding
+  // 16 schedule threads onto the smaller team — must still produce the
+  // serial answer.
   ThreadGuard guard;
   set_threads(2);
   const auto a = test::random_matrix(150, 6.0, true, 51);
@@ -164,13 +170,15 @@ TEST(SweepEngine, OversubscribedScheduleFallsBackBitwiseCorrect) {
   const auto x = test::random_vector(150, 52);
 
   SweepWorkspace<double> we;
-  EXPECT_FALSE(fbmpk_engine_try_sweep<double>(
-      p.split, p.schedule, sched, x, 3, we, false,
-      [](int, index_t, double) {}));
+  const ScalarRows<double> rows(p.split);
+  EXPECT_FALSE(fbmpk_engine_try_sweep_rows(p.split, sched, rows,
+                                           std::span<const double>(x), 3, we,
+                                           false,
+                                           [](int, index_t, double) {}));
 
   AlignedVector<double> y_eng(150), y_ser(150);
   FbWorkspace<double> ws;
-  fbmpk_engine_power<double>(p.split, p.schedule, sched, x, 3, y_eng, we);
+  test::stage_power(p.split, sched, x, 3, y_eng, /*engine=*/true, &we);
   fbmpk_power<double>(p.split, x, 3, y_ser, ws);
   for (index_t i = 0; i < 150; ++i) ASSERT_EQ(y_eng[i], y_ser[i]);
 }
@@ -180,30 +188,30 @@ TEST(SweepSchedule, ValidatesAndRejectsTampering) {
   const auto p = prepare(a, 20);
   for (const index_t t : {1, 2, 4, 7}) {
     const auto sched = build_sweep_schedule(p.schedule, p.split, t);
-    EXPECT_TRUE(validate_sweep_schedule(sched, p.schedule)) << t;
+    EXPECT_TRUE(validate_stage_schedule(sched, p.split)) << t;
     EXPECT_EQ(sched.num_threads, t);
-    EXPECT_EQ(sched.num_colors, p.schedule.num_colors);
-    EXPECT_EQ(sched.num_blocks, p.schedule.num_blocks);
+    EXPECT_EQ(sched.fwd.num_stages, p.schedule.num_colors);
+    EXPECT_EQ(sched.bwd.num_stages, p.schedule.num_colors);
+    EXPECT_TRUE(sched.pair_deps.empty());  // ABMC: covered transitively
   }
 
   auto sched = build_sweep_schedule(p.schedule, p.split, 3);
   {
-    auto broken = sched;  // a block assigned to the wrong color slot
-    ASSERT_GE(broken.part_blocks.size(), 2u);
-    std::swap(broken.part_blocks.front(), broken.part_blocks.back());
-    EXPECT_FALSE(validate_sweep_schedule(broken, p.schedule));
+    auto broken = sched;  // first color's rows swapped with the last's
+    ASSERT_GE(broken.fwd.ranges.size(), 2u);
+    std::swap(broken.fwd.ranges.front(), broken.fwd.ranges.back());
+    EXPECT_FALSE(validate_stage_schedule(broken, p.split));
   }
   {
     auto broken = sched;  // dep pointing at a thread outside the team
-    if (!broken.fwd_deps.empty()) {
-      broken.fwd_deps.front().thread = broken.num_threads;
-      EXPECT_FALSE(validate_sweep_schedule(broken, p.schedule));
-    }
+    ASSERT_FALSE(broken.fwd.deps.empty());
+    broken.fwd.deps.front().thread = broken.num_threads;
+    EXPECT_FALSE(validate_stage_schedule(broken, p.split));
   }
   {
-    auto broken = sched;  // non-monotone partition pointer
-    broken.part_ptr.back() += 1;
-    EXPECT_FALSE(validate_sweep_schedule(broken, p.schedule));
+    auto broken = sched;  // non-monotone range pointer
+    broken.fwd.range_ptr.back() += 1;
+    EXPECT_FALSE(validate_stage_schedule(broken, p.split));
   }
 }
 
@@ -248,8 +256,8 @@ TEST(SweepPlanIo, PointToPointPlanRoundTrips) {
   opts.sweep.sync = SweepSync::kPointToPoint;
   opts.sweep.threads = 2;
   auto plan = MpkPlan::build(a, opts);
-  ASSERT_FALSE(plan.sweep_schedule().empty());
-  EXPECT_EQ(plan.sweep_schedule().num_threads, 2);
+  ASSERT_FALSE(plan.stage_schedule().empty());
+  EXPECT_EQ(plan.stage_schedule().num_threads, 2);
   EXPECT_EQ(plan.stats().sweep_threads, 2);
 
   std::stringstream buf;
@@ -257,12 +265,11 @@ TEST(SweepPlanIo, PointToPointPlanRoundTrips) {
   auto loaded = load_plan(buf);
   EXPECT_EQ(loaded.options().sweep.sync, SweepSync::kPointToPoint);
   EXPECT_EQ(loaded.options().sweep.threads, 2);
-  ASSERT_FALSE(loaded.sweep_schedule().empty());
-  EXPECT_EQ(loaded.sweep_schedule().num_threads, 2);
-  EXPECT_EQ(loaded.sweep_schedule().part_blocks,
-            plan.sweep_schedule().part_blocks);
-  EXPECT_TRUE(
-      validate_sweep_schedule(loaded.sweep_schedule(), loaded.schedule()));
+  ASSERT_FALSE(loaded.stage_schedule().empty());
+  EXPECT_EQ(loaded.stage_schedule().num_threads, 2);
+  EXPECT_EQ(loaded.stage_schedule().fwd.ranges,
+            plan.stage_schedule().fwd.ranges);
+  EXPECT_TRUE(validate_stage_schedule(loaded.stage_schedule(), loaded.split()));
 
   const auto x = test::random_vector(a.rows(), 81);
   AlignedVector<double> ya(a.rows()), yb(a.rows());
@@ -303,8 +310,8 @@ TEST(SweepPlanIo, CorruptedSweepBytesAreTypedError) {
   save_plan(plan, buf);
   const std::string full = buf.str();
 
-  // Flip bytes at several payload offsets (the SWEP section sits
-  // between SCHD and LVLS; the CRC turns any flip into a typed error).
+  // Flip bytes at several payload offsets (the STGS section sits
+  // between SCHD and SPLT; the CRC turns any flip into a typed error).
   for (const std::size_t pos :
        {full.size() / 3, full.size() / 2, full.size() - 9}) {
     std::string corrupt = full;
@@ -325,16 +332,15 @@ TEST(SweepPlanIo, RebuildsScheduleWhenRuntimeThreadsDiffer) {
   PlanOptions opts;
   opts.sweep.sync = SweepSync::kPointToPoint;  // threads = 0: runtime default
   auto plan = MpkPlan::build(a, opts);
-  ASSERT_EQ(plan.sweep_schedule().num_threads, 4);
+  ASSERT_EQ(plan.stage_schedule().num_threads, 4);
   std::stringstream buf;
   save_plan(plan, buf);
 
   set_threads(2);  // loading host differs from the build host
   auto loaded = load_plan(buf);
-  ASSERT_FALSE(loaded.sweep_schedule().empty());
-  EXPECT_EQ(loaded.sweep_schedule().num_threads, 2);
-  EXPECT_TRUE(
-      validate_sweep_schedule(loaded.sweep_schedule(), loaded.schedule()));
+  ASSERT_FALSE(loaded.stage_schedule().empty());
+  EXPECT_EQ(loaded.stage_schedule().num_threads, 2);
+  EXPECT_TRUE(validate_stage_schedule(loaded.stage_schedule(), loaded.split()));
 
   const auto x = test::random_vector(a.rows(), 91);
   AlignedVector<double> ya(a.rows()), yb(a.rows());

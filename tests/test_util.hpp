@@ -7,10 +7,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <span>
 #include <vector>
 
+#include "gen/kkt.hpp"
 #include "gen/random_sparse.hpp"
+#include "gen/stencil.hpp"
+#include "kernels/fbmpk_parallel.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ops.hpp"
 #include "support/aligned_buffer.hpp"
@@ -112,6 +116,81 @@ inline void expect_near_rel(std::span<const double> actual,
     ASSERT_NEAR(actual[i], expected[i], rtol * scale)
         << label << " mismatch at index " << i;
   }
+}
+
+/// A property-harness matrix from one of four structurally distinct
+/// families (test_property_random.cpp, test_stage_schedule.cpp).
+inline CsrMatrix<double> draw_property_matrix(Xorshift64& rng) {
+  switch (rng.next() % 4) {
+    case 0:  // symmetric banded (stencil-like after reordering)
+      return random_matrix(static_cast<index_t>(rng.in_range(120, 280)),
+                           4.0 + 6.0 * rng.uniform(), /*symmetric=*/true,
+                           rng.next());
+    case 1:  // unsymmetric banded
+      return random_matrix(static_cast<index_t>(rng.in_range(100, 240)),
+                           4.0 + 5.0 * rng.uniform(), /*symmetric=*/false,
+                           rng.next());
+    case 2:  // 2D Laplacian stencil
+      return gen::make_laplacian_2d(static_cast<index_t>(rng.in_range(9, 17)),
+                                    static_cast<index_t>(rng.in_range(9, 17)));
+    default: {  // KKT saddle point
+      gen::KktOptions o;
+      o.seed = rng.next();
+      return gen::make_kkt_saddle(static_cast<index_t>(rng.in_range(3, 5)),
+                                  static_cast<index_t>(rng.in_range(3, 5)),
+                                  static_cast<index_t>(rng.in_range(3, 5)),
+                                  o);
+    }
+  }
+}
+
+/// FBMPK_SCHEDULER env filter over the scheduler axis: "abmc" or
+/// "levels" restricts it to one front-end, anything else runs both.
+struct SchedulerFilter {
+  bool abmc = true;
+  bool levels = true;
+};
+
+inline SchedulerFilter scheduler_filter() {
+  const char* e = std::getenv("FBMPK_SCHEDULER");
+  if (e == nullptr) return {};
+  const std::string s(e);
+  if (s == "abmc") return {true, false};
+  if (s == "levels") return {false, true};
+  return {};
+}
+
+/// Run one stage-schedule rung over the exact row policy: the engine
+/// (falling back to the barrier rung when it cannot run) or the barrier
+/// rung. emit(p, i, v) as in the kernels.
+template <class Emit>
+void stage_sweep(const TriangularSplit<double>& s, const StageSchedule& sched,
+                 std::span<const double> x, int k, Emit&& emit,
+                 bool engine = false, SweepWorkspace<double>* ws = nullptr) {
+  SweepWorkspace<double> local;
+  SweepWorkspace<double>& w = ws != nullptr ? *ws : local;
+  const ScalarRows<double> rows(s);
+  if (!engine || !fbmpk_engine_try_sweep_rows(s, sched, rows, x, k, w,
+                                              /*pin_threads=*/false, emit))
+    fbmpk_barrier_sweep_rows(s, sched, rows, x, k, w, emit);
+}
+
+/// y = A^k x through stage_sweep (k = 0 copies x).
+inline void stage_power(const TriangularSplit<double>& s,
+                        const StageSchedule& sched, std::span<const double> x,
+                        int k, std::span<double> y, bool engine = false,
+                        SweepWorkspace<double>* ws = nullptr) {
+  if (k == 0) {
+    std::copy(x.begin(), x.end(), y.begin());
+    return;
+  }
+  double* yp = y.data();
+  stage_sweep(
+      s, sched, x, k,
+      [&](int p, index_t i, double v) {
+        if (p == k) yp[i] = v;
+      },
+      engine, ws);
 }
 
 }  // namespace fbmpk::test
