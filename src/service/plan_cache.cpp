@@ -1,10 +1,10 @@
 #include "service/plan_cache.hpp"
 
+#include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "core/plan_io.hpp"
-#include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "support/threading.hpp"
 #include "support/timer.hpp"
@@ -12,18 +12,77 @@
 
 namespace fbmpk::service {
 
+namespace {
+
+// XXH64 primes and lane rounds.
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+std::uint64_t rotl(std::uint64_t v, int r) {
+  return (v << r) | (v >> (64 - r));
+}
+
+std::uint64_t load64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+std::uint64_t lane_round(std::uint64_t acc, std::uint64_t word) {
+  return rotl(acc + word * kP2, 31) * kP1;
+}
+
+std::uint64_t merge_lane(std::uint64_t h, std::uint64_t lane) {
+  return (h ^ lane_round(0, lane)) * kP1 + kP4;
+}
+
+}  // namespace
+
+std::uint64_t xxh64(const void* data, std::size_t size, std::uint64_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::size_t left = size;
+  std::uint64_t h;
+  if (left >= 32) {
+    std::uint64_t v1 = seed + kP1 + kP2, v2 = seed + kP2, v3 = seed,
+                  v4 = seed - kP1;
+    for (; left >= 32; p += 32, left -= 32) {
+      v1 = lane_round(v1, load64(p));
+      v2 = lane_round(v2, load64(p + 8));
+      v3 = lane_round(v3, load64(p + 16));
+      v4 = lane_round(v4, load64(p + 24));
+    }
+    h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18);
+    h = merge_lane(merge_lane(merge_lane(merge_lane(h, v1), v2), v3), v4);
+  } else {
+    h = seed + kP5;
+  }
+  h += static_cast<std::uint64_t>(size);
+  for (; left >= 8; p += 8, left -= 8)
+    h = rotl(h ^ lane_round(0, load64(p)), 27) * kP1 + kP4;
+  if (left >= 4) {
+    std::uint32_t w;
+    std::memcpy(&w, p, sizeof(w));
+    h = rotl(h ^ (static_cast<std::uint64_t>(w) * kP1), 23) * kP2 + kP3;
+    p += 4;
+    left -= 4;
+  }
+  for (; left > 0; ++p, --left) h = rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
+}
+
 std::uint64_t fingerprint(const CsrMatrix<double>& a) {
-  std::uint32_t s = kCrc32Init;
   const std::int64_t dims[2] = {a.rows(), a.cols()};
-  s = crc32_update(s, dims, sizeof(dims));
-  s = crc32_update(s, a.row_ptr().data(),
-                   a.row_ptr().size() * sizeof(index_t));
-  s = crc32_update(s, a.col_idx().data(),
-                   a.col_idx().size() * sizeof(index_t));
-  const std::uint32_t structure = crc32_finish(s);
-  const std::uint32_t values =
-      crc32(a.values().data(), a.values().size() * sizeof(double));
-  return (static_cast<std::uint64_t>(structure) << 32) | values;
+  std::uint64_t h = xxh64(dims, sizeof(dims), 0);
+  h = xxh64(a.row_ptr().data(), a.row_ptr().size_bytes(), h);
+  h = xxh64(a.col_idx().data(), a.col_idx().size_bytes(), h);
+  return xxh64(a.values().data(), a.values().size_bytes(), h);
 }
 
 PlanCache::PlanCache(std::size_t capacity)

@@ -1,7 +1,7 @@
 // LRU plan cache for the serving layer (docs/SERVICE.md).
 //
-// Entries are keyed by a 64-bit fingerprint of the input matrix
-// (dims + row_ptr + col_idx + values, two independent CRC32 streams).
+// Entries are keyed by a 64-bit content fingerprint of the input
+// matrix: XXH64 chained over dims, row_ptr, col_idx and values.
 // Each entry stores BOTH the hydrated MpkPlan and its serialized
 // artifact (core/plan_io.hpp): the artifact is the durable source of
 // truth, the hydrated plan a decode cache. When the hydrated pointer
@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -34,8 +35,18 @@
 
 namespace fbmpk::service {
 
-/// 64-bit content fingerprint of a CSR matrix: structure CRC (dims,
-/// row_ptr, col_idx) in the high word, value-bytes CRC in the low.
+/// XXH64 of `size` bytes under `seed`: four independent 64-bit
+/// multiply-rotate lanes over 8-byte words, then a word and byte tail
+/// and a final avalanche. Portable scalar code (memcpy loads, no
+/// alignment assumption, no ISA dispatch) that runs at memory speed on
+/// one core. Words are read in native byte order.
+std::uint64_t xxh64(const void* data, std::size_t size, std::uint64_t seed);
+
+/// 64-bit content fingerprint of a CSR matrix: XXH64 seeded with the
+/// dims and chained over row_ptr, col_idx and values, so every byte is
+/// hashed on every call. Keys live in memory only (no plan file stores
+/// one), and nothing is cached per object: a matrix edited in place
+/// gets a new key.
 std::uint64_t fingerprint(const CsrMatrix<double>& a);
 
 /// Monotonic cache statistics (independent of telemetry enablement).

@@ -143,7 +143,14 @@ MpkService::RequestId MpkService::submit(const CsrMatrix<double>& a,
   FBMPK_TSPAN_ARGS(kService, "service.submit",
                    {.k = k, .req = static_cast<std::int64_t>(id)});
   req->matrix = &a;
-  req->key = fingerprint(a);
+  Status early;  // non-ok -> reject without queueing
+  // Checked before the fingerprint, so a malformed request never pays
+  // for hashing the whole matrix (its key is never read).
+  if (x.size() != static_cast<std::size_t>(a.rows()))
+    early = Error(ErrorCode::kInvalidMatrix,
+                  "request vector length does not match the matrix");
+  else
+    req->key = fingerprint(a);
   req->x.assign(x.begin(), x.end());
   req->y.resize(static_cast<std::size_t>(a.rows()), 0.0);
   req->k = k;
@@ -154,11 +161,6 @@ MpkService::RequestId MpkService::submit(const CsrMatrix<double>& a,
   if (req->deadline_seconds > 0.0)
     req->deadline_tp =
         req->submitted_at + seconds_to_duration(req->deadline_seconds);
-
-  Status early;  // non-ok -> reject without queueing
-  if (x.size() != static_cast<std::size_t>(a.rows()))
-    early = Error(ErrorCode::kInvalidMatrix,
-                  "request vector length does not match the matrix");
 
   bool queued = false;
   {

@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "core/plan.hpp"
 #include "core/plan_io.hpp"
@@ -673,6 +675,27 @@ TEST(PlanIo, RetiredFormatFixturesFailWithVersionMismatch) {
     ASSERT_FALSE(r);
     EXPECT_EQ(r.code(), ErrorCode::kVersionMismatch);
   }
+}
+
+// The current-format fixture pins the plan CRC32: plan_v8.bin was
+// written by an earlier build, so any change to checksum values (or to
+// the v8 layout) makes it fail to load. A serial natural-order plan
+// keeps the comparison independent of the reorderer and the host's
+// thread count. Regenerate only with an intentional format bump:
+//   FBMPK_REGEN_GOLDEN=1 ./fbmpk_tests --gtest_filter='PlanIo.V8Golden*'
+TEST(PlanIo, V8GoldenPlanLoads) {
+  const auto a = test::random_matrix(96, 7.0, false, 0x8f1a);
+  PlanOptions opts;
+  opts.reorder = false;
+  opts.parallel = false;
+  auto fresh = MpkPlan::build(a, opts);
+  const std::string path =
+      std::string(FBMPK_TEST_GOLDEN_DIR) + "/plan_v8.bin";
+  if (std::getenv("FBMPK_REGEN_GOLDEN") != nullptr)
+    save_plan_file(fresh, path);
+  auto r = try_load_plan_file(path);
+  ASSERT_TRUE(r) << r.error().what();
+  expect_plans_equivalent(fresh, r.value(), a, 5);
 }
 
 TEST(PlanIo, LoadedPlanMatchesBaselineNumerics) {

@@ -4,15 +4,22 @@
 // bitwise identical to the serial oracle for exact-mode plans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
+#include <map>
+#include <set>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/plan_io.hpp"
 #include "gen/stencil.hpp"
+#include "gen/suite.hpp"
 #include "service/plan_cache.hpp"
 #include "service/service.hpp"
 #include "support/fault_inject.hpp"
@@ -82,6 +89,185 @@ TEST_F(ServiceTest, LruEvictionOrderIsDeterministic) {
   EXPECT_EQ(s.misses, 3u);
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.evictions, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprint: content-only XXH64 key. Every byte of dims, row_ptr,
+// col_idx and values must reach it; the address must not.
+// ---------------------------------------------------------------------------
+
+/// fingerprint()'s chain recomputed from raw arrays, so bit flips that
+/// no valid CsrMatrix can hold (row_ptr, col_idx) are still checked
+/// against the same construction.
+std::uint64_t chain_key(std::int64_t rows, std::int64_t cols,
+                        std::span<const index_t> row_ptr,
+                        std::span<const index_t> col_idx,
+                        std::span<const double> values) {
+  const std::int64_t dims[2] = {rows, cols};
+  std::uint64_t h = xxh64(dims, sizeof(dims), 0);
+  h = xxh64(row_ptr.data(), row_ptr.size_bytes(), h);
+  h = xxh64(col_idx.data(), col_idx.size_bytes(), h);
+  return xxh64(values.data(), values.size_bytes(), h);
+}
+
+void flip_bit(void* data, std::size_t bit) {
+  static_cast<unsigned char*>(data)[bit / 8] ^=
+      static_cast<unsigned char>(1u << (bit % 8));
+}
+
+TEST(Fingerprint, Xxh64MatchesReferenceVectors) {
+  const std::string long_input = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(xxh64("", 0, 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xxh64("a", 1, 0), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(xxh64("abc", 3, 0), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(xxh64(long_input.data(), long_input.size(), 0),
+            0xFBCEA83C8A378BF1ull);
+}
+
+TEST(Fingerprint, EverySingleBitFlipGivesNewKey) {
+  auto a = test::random_matrix(40, 5.0, false, 0xf1b);
+  const std::uint64_t base = fingerprint(a);
+  ASSERT_EQ(chain_key(a.rows(), a.cols(), a.row_ptr(), a.col_idx(),
+                      a.values()),
+            base);
+
+  std::set<std::uint64_t> keys{base};
+  std::size_t flips = 0;
+  auto expect_new = [&](std::uint64_t key) {
+    ++flips;
+    keys.insert(key);
+    EXPECT_NE(key, base);
+  };
+  std::vector<index_t> rp(a.row_ptr().begin(), a.row_ptr().end());
+  for (std::size_t bit = 0; bit < rp.size() * sizeof(index_t) * 8; ++bit) {
+    flip_bit(rp.data(), bit);
+    expect_new(chain_key(a.rows(), a.cols(), rp, a.col_idx(), a.values()));
+    flip_bit(rp.data(), bit);
+  }
+  std::vector<index_t> ci(a.col_idx().begin(), a.col_idx().end());
+  for (std::size_t bit = 0; bit < ci.size() * sizeof(index_t) * 8; ++bit) {
+    flip_bit(ci.data(), bit);
+    expect_new(chain_key(a.rows(), a.cols(), a.row_ptr(), ci, a.values()));
+    flip_bit(ci.data(), bit);
+  }
+  // Values are mutable in a real matrix: go through fingerprint() itself.
+  const std::span<double> v = a.values_mutable();
+  for (std::size_t bit = 0; bit < v.size_bytes() * 8; ++bit) {
+    flip_bit(v.data(), bit);
+    expect_new(fingerprint(a));
+    flip_bit(v.data(), bit);
+  }
+  ASSERT_EQ(fingerprint(a), base);
+
+  const CsrMatrix<double> wider(
+      a.rows(), a.cols() + 1,
+      AlignedVector<index_t>(a.row_ptr().begin(), a.row_ptr().end()),
+      AlignedVector<index_t>(a.col_idx().begin(), a.col_idx().end()),
+      AlignedVector<double>(a.values().begin(), a.values().end()));
+  expect_new(fingerprint(wider));
+  // Distinct flips also land on distinct keys (no collisions among them).
+  EXPECT_EQ(keys.size(), flips + 1);
+}
+
+TEST(Fingerprint, DeepCopyAtAnotherAddressKeepsKey) {
+  const auto a = test::random_matrix(64, 6.0, true, 0xc0b);
+  const CsrMatrix<double> copy = a;
+  ASSERT_NE(copy.values().data(), a.values().data());
+  ASSERT_NE(copy.row_ptr().data(), a.row_ptr().data());
+  EXPECT_EQ(fingerprint(copy), fingerprint(a));
+}
+
+// Byte-level tails: for every length up to three full 32-byte stripes,
+// the hash ignores the buffer's alignment and sees its last byte.
+TEST(Fingerprint, Xxh64CoversEveryTailLengthAtEveryAlignment) {
+  Rng rng(0x7a11);
+  std::vector<unsigned char> buf(96 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  for (std::size_t len = 0; len <= 96; ++len) {
+    const std::uint64_t want = xxh64(buf.data(), len, 7);
+    for (std::size_t off = 1; off < 8; ++off) {
+      std::vector<unsigned char> moved(len + off);
+      std::memcpy(moved.data() + off, buf.data(), len);
+      ASSERT_EQ(xxh64(moved.data() + off, len, 7), want)
+          << "len " << len << " off " << off;
+    }
+    if (len == 0) continue;
+    buf[len - 1] ^= 0x80;
+    EXPECT_NE(xxh64(buf.data(), len, 7), want) << "len " << len;
+    buf[len - 1] ^= 0x80;
+  }
+}
+
+// Matrix-level tails: row_ptr, col_idx and values byte lengths take
+// every residue mod 32 their element size allows, and the last word of
+// each array still reaches the key.
+TEST(Fingerprint, ArrayTailsOfEveryLengthReachTheKey) {
+  std::set<std::uint64_t> keys;
+  std::set<std::size_t> residues[3];
+  for (index_t n = 8; n < 16; ++n) {
+    for (index_t extra = 0; extra < 8; ++extra) {
+      // Diagonal plus `extra` entries in row 0: nnz = n + extra.
+      CooMatrix<double> coo(n, n);
+      for (index_t i = 0; i < n; ++i) coo.add(i, i, 2.0 + i);
+      for (index_t j = 1; j <= extra; ++j) coo.add(0, j, -1.0 / j);
+      auto a = CsrMatrix<double>::from_coo(coo);
+      const std::uint64_t base = fingerprint(a);
+      keys.insert(base);
+      residues[0].insert(a.row_ptr().size_bytes() % 32);
+      residues[1].insert(a.col_idx().size_bytes() % 32);
+      residues[2].insert(a.values().size_bytes() % 32);
+
+      std::vector<index_t> rp(a.row_ptr().begin(), a.row_ptr().end());
+      rp.back() ^= 1;
+      EXPECT_NE(chain_key(a.rows(), a.cols(), rp, a.col_idx(), a.values()),
+                base);
+      std::vector<index_t> ci(a.col_idx().begin(), a.col_idx().end());
+      ci.back() ^= 1;
+      EXPECT_NE(chain_key(a.rows(), a.cols(), a.row_ptr(), ci, a.values()),
+                base);
+      a.values_mutable().back() += 1.0;
+      EXPECT_NE(fingerprint(a), base);
+    }
+  }
+  EXPECT_EQ(keys.size(), 64u);
+  EXPECT_EQ(residues[0].size(), 8u);  // 4-byte words: 0, 4, ..., 28
+  EXPECT_EQ(residues[1].size(), 8u);
+  EXPECT_EQ(residues[2].size(), 4u);  // 8-byte words: 0, 8, 16, 24
+}
+
+bool same_content(const CsrMatrix<double>& a, const CsrMatrix<double>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::ranges::equal(a.row_ptr(), b.row_ptr()) &&
+         std::ranges::equal(a.col_idx(), b.col_idx()) &&
+         a.values().size() == b.values().size() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.values().size_bytes()) == 0;
+}
+
+// Equal keys only for equal content, across every suite matrix and the
+// property harness's matrix families (whose draws repeat some shapes:
+// a repeat is the same matrix, not a collision).
+TEST(Fingerprint, NoCollisionsAcrossSuiteAndPropertyDraws) {
+  std::map<std::uint64_t, CsrMatrix<double>> seen;
+  std::size_t distinct = 0, total = 0;
+  auto record = [&](CsrMatrix<double> m) {
+    ++total;
+    const std::uint64_t key = fingerprint(m);
+    auto it = seen.find(key);
+    if (it == seen.end()) {
+      seen.emplace(key, std::move(m));
+      ++distinct;
+      return;
+    }
+    EXPECT_TRUE(same_content(it->second, m)) << "collision on " << key;
+  };
+  for (const auto& name : gen::suite_names())
+    record(gen::make_suite_matrix(name, 0.02).matrix);
+  test::Xorshift64 rng(0xc011);
+  for (int i = 0; i < 500; ++i) record(test::draw_property_matrix(rng));
+  EXPECT_EQ(total, 514u);
+  // Only the Laplacian family repeats shapes; most draws are distinct.
+  EXPECT_GT(distinct, 400u);
 }
 
 TEST_F(ServiceTest, CacheHitServesSecondRequestBitwiseEqual) {
@@ -400,6 +586,33 @@ TEST_F(ServiceTest, MismatchedVectorLengthIsRejectedTyped) {
   const RequestResult r = svc.power(a, x, 2, y);
   ASSERT_FALSE(r.status.ok());
   EXPECT_EQ(r.status.code(), ErrorCode::kInvalidMatrix);
+}
+
+// The key is content-only: a matrix edited in place between submits
+// must get a fresh plan, never the one cached for its old values.
+TEST_F(ServiceTest, InPlaceMutationGetsFreshPlan) {
+  auto a = test::random_matrix(120, 6.0, false, 0x1d7);
+  const auto x = test_input(a.rows());
+  ServiceOptions opts;
+  opts.workers = 1;
+  MpkService svc(opts);
+  AlignedVector<double> y1(static_cast<std::size_t>(a.rows()));
+  AlignedVector<double> y2(static_cast<std::size_t>(a.rows()));
+
+  const RequestResult r1 = svc.power(a, x, 4, y1);
+  ASSERT_TRUE(r1.status.ok()) << r1.status.error().what();
+  expect_bitwise_equal(y1, serial_oracle(a, x, 4, opts.plan));
+
+  a.values_mutable()[a.values().size() / 2] *= 1.5;
+  const RequestResult r2 = svc.power(a, x, 4, y2);
+  ASSERT_TRUE(r2.status.ok()) << r2.status.error().what();
+  EXPECT_FALSE(r2.cache_hit);
+  const auto mutated_oracle = serial_oracle(a, x, 4, opts.plan);
+  expect_bitwise_equal(y2, mutated_oracle);
+  EXPECT_NE(std::memcmp(y1.data(), mutated_oracle.data(),
+                        y1.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(svc.stats().cache.misses, 2u);
 }
 
 // Multi-client hammering: every request must finish with a correct

@@ -1,10 +1,15 @@
-// Unit tests for src/support: RNG, stats, aligned buffers, error macros.
+// Unit tests for src/support: RNG, stats, aligned buffers, error macros,
+// CRC32.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "support/aligned_buffer.hpp"
+#include "support/checksum.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -223,6 +228,53 @@ TEST(Expected, StatusOkAndError) {
 }
 
 TEST(Threading, MaxThreadsAtLeastOne) { EXPECT_GE(max_threads(), 1); }
+
+/// Bit-at-a-time CRC32 (reflected 0xEDB88320): the definition the
+/// table-driven implementation must reproduce for every length and
+/// alignment.
+std::uint32_t reference_crc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int b = 0; b < 8; ++b)
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Checksum, IeeeCheckValue) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Checksum, MatchesReferenceForEveryLengthAndOffset) {
+  Rng rng(0xc4c32);
+  std::vector<unsigned char> buf(257 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 257; ++len)
+      ASSERT_EQ(crc32(buf.data() + off, len),
+                reference_crc32(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+}
+
+TEST(Checksum, SplitUpdatesEqualOneShot) {
+  Rng rng(0x5b17);
+  std::vector<unsigned char> buf(1000);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.next_u64());
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  for (const std::size_t cut :
+       {0u, 1u, 3u, 7u, 8u, 9u, 64u, 500u, 999u, 1000u}) {
+    std::uint32_t s = crc32_update(kCrc32Init, buf.data(), cut);
+    s = crc32_update(s, buf.data() + cut, buf.size() - cut);
+    EXPECT_EQ(crc32_finish(s), whole) << "cut " << cut;
+  }
+  // Many odd-sized pieces, so chunk boundaries land at every phase.
+  std::uint32_t s = kCrc32Init;
+  for (std::size_t at = 0, step = 1; at < buf.size(); at += step, ++step)
+    s = crc32_update(s, buf.data() + at, std::min(step, buf.size() - at));
+  EXPECT_EQ(crc32_finish(s), whole);
+}
 
 TEST(Timer, MeasuresNonNegativeDurations) {
   Timer t;
