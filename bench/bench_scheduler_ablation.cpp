@@ -16,7 +16,6 @@
 // Results land in BENCH_scheduler_ablation.json (schema v3).
 #include "bench_common.hpp"
 #include "perf/cost_model.hpp"
-#include "reorder/nnz_partition.hpp"
 #include "sparse/split.hpp"
 
 using namespace fbmpk;
@@ -30,9 +29,8 @@ int main(int argc, char** argv) {
 
   perf::Table table({"matrix", "colors", "levels(fwd)", "stages(fwd)",
                      "abmc_ms", "lvl_bar_ms", "lvl_eng_ms", "serial_ms"});
-  const index_t part_threads = opts.threads > 0 ? opts.threads : 4;
-  perf::Table imbalance({"matrix", "threads", "static:worst", "static:mean",
-                         "lpt:worst", "lpt:mean"});
+  perf::Table imbalance({"matrix", "threads", "abmc:worst", "abmc:mean",
+                         "levels:worst", "levels:mean"});
   bench::JsonReport report("scheduler_ablation");
 
   for (const auto& name : bench::selected_names(opts)) {
@@ -93,26 +91,21 @@ int main(int argc, char** argv) {
                 bench::JsonReport::gflops_of(shape, sweeps, ser_s), bytes,
                 modeled});
 
-    // Per-color thread imbalance (max/mean nnz per thread): what the
-    // sweep engine's nnz-LPT partition buys over the omp-static split.
-    const auto& split = abmc_plan.split();
-    const auto weights = block_nnz_weights(
-        abmc_plan.schedule(), split.lower.row_ptr(), split.upper.row_ptr());
-    const auto stat = perf::partition_imbalance(
-        abmc_plan.schedule(), weights, part_threads,
-        PartitionStrategy::kBlockStatic);
-    const auto lpt = perf::partition_imbalance(
-        abmc_plan.schedule(), weights, part_threads,
-        PartitionStrategy::kNnzLpt);
-    imbalance.add_row({m.name, std::to_string(part_threads),
-                       perf::Table::fmt(stat.worst),
-                       perf::Table::fmt(stat.mean),
-                       perf::Table::fmt(lpt.worst),
-                       perf::Table::fmt(lpt.mean)});
+    // Per-stage thread imbalance of both schedules (max/mean nnz per
+    // slot): ABMC's weighted contiguous color split against the level
+    // front-end's component LPT.
+    const auto abmc_imb = perf::partition_imbalance(abmc_plan.stage_schedule());
+    const auto lvl_imb = perf::partition_imbalance(eng_plan.stage_schedule());
+    imbalance.add_row({m.name, std::to_string(threads),
+                       perf::Table::fmt(abmc_imb.worst),
+                       perf::Table::fmt(abmc_imb.mean),
+                       perf::Table::fmt(lvl_imb.worst),
+                       perf::Table::fmt(lvl_imb.mean)});
   }
 
   table.print();
-  std::printf("\nper-color load imbalance (max/mean nnz per thread; 1.0 = "
+  std::printf("\nper-stage load imbalance (worst: max over stages of "
+              "max/mean nnz per thread; mean: critical path; 1.0 = "
               "perfect):\n");
   imbalance.print();
   report.write();

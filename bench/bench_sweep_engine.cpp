@@ -4,9 +4,8 @@
 // Both run the identical ABMC schedule and produce bitwise-identical
 // results; the only difference is synchronization (2·colors team
 // barriers per forward/backward pair versus per-thread epoch waits on
-// actual neighbors) and per-color partitioning (omp static by block
-// count versus nnz-balanced LPT). The gap is the price of the
-// barriers, so it grows with color count and thread count.
+// actual neighbors). The gap is the price of the barriers, so it grows
+// with color count and thread count.
 //
 // Results land in BENCH_sweep_engine.json.
 #include "bench_common.hpp"
@@ -79,6 +78,6 @@ int main(int argc, char** argv) {
       "\nsame schedule, same FP ops, bitwise-identical results; the gap is "
       "synchronization:\n2 x colors full team barriers per pair (barrier) "
       "vs per-thread epoch waits on\nactual quotient-graph neighbors "
-      "(point-to-point) plus nnz-LPT load balance.\n");
+      "(point-to-point).\n");
   return 0;
 }

@@ -316,11 +316,15 @@ int cmd_info(const Args& args) {
                 static_cast<int>(st.num_levels_forward),
                 static_cast<int>(st.num_levels_backward));
   const StageSchedule& stages = plan.stage_schedule();
-  if (!stages.empty())
+  if (!stages.empty()) {
     std::printf("stages:          %d fwd / %d bwd x %d threads\n",
                 static_cast<int>(stages.fwd.num_stages),
                 static_cast<int>(stages.bwd.num_stages),
                 static_cast<int>(stages.num_threads));
+    // Σ over stages of the most-loaded slot ÷ Σ of the mean slot.
+    std::printf("stage imbalance: %.3f (1.000 = balanced)\n",
+                stage_imbalance(stages));
+  }
   if (plan.options().sweep.sync == SweepSync::kPointToPoint)
     std::printf("sweep:           point-to-point, %d threads%s\n",
                 static_cast<int>(stages.num_threads),

@@ -12,35 +12,6 @@
 
 namespace fbmpk {
 
-namespace {
-
-#if FBMPK_TELEMETRY_ENABLED
-// Max-over-mean per-thread nnz load of the stage schedule over both
-// directions, in parts-per-million (same diagnostic as
-// perf::partition_imbalance, kept local to avoid a core -> perf
-// dependency). 1e6 == perfectly balanced.
-std::int64_t imbalance_ppm(const StageSchedule& sched) {
-  if (sched.empty()) return 0;
-  const std::size_t T_n = static_cast<std::size_t>(sched.num_threads);
-  std::vector<double> per_thread(T_n, 0.0);
-  for (const StageDirection* d : {&sched.fwd, &sched.bwd})
-    for (std::size_t t = 0; t < T_n; ++t)
-      for (index_t s = 0; s < d->num_stages; ++s)
-        per_thread[t] += static_cast<double>(
-            d->load[d->slot(static_cast<index_t>(t), s)]);
-  double total = 0.0, peak = 0.0;
-  for (double v : per_thread) {
-    total += v;
-    peak = std::max(peak, v);
-  }
-  const double mean = total / static_cast<double>(T_n);
-  if (mean <= 0.0) return 0;
-  return static_cast<std::int64_t>(peak / mean * 1e6);
-}
-#endif
-
-}  // namespace
-
 const char* scheduler_name(Scheduler s) {
   switch (s) {
     case Scheduler::kAbmc:
@@ -147,7 +118,10 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
                                 : static_cast<index_t>(max_threads());
     plan.stages_ = plan.build_stages(threads);
     plan.stats_.sweep_threads = threads;
-    FBMPK_TGAUGE("plan.partition_imbalance_ppm", imbalance_ppm(plan.stages_));
+    // Per-stage critical-path imbalance in parts per million (1e6 ==
+    // perfectly balanced).
+    FBMPK_TGAUGE("plan.partition_imbalance_ppm",
+                 static_cast<std::int64_t>(stage_imbalance(plan.stages_) * 1e6));
   }
 
   if (opts.index_compress) {
@@ -271,27 +245,31 @@ void MpkPlan::sweep_rows(const Rows& rows, const X0& x0, int k,
 }
 
 template <class Emit>
-void MpkPlan::sweep(std::span<const double> px, int k, Workspace& ws,
-                    Emit&& emit, ExecPath path, RunControl* ctl) const {
+void MpkPlan::sweep(const GatherX0& x0, int k, Workspace& ws, Emit&& emit,
+                    ExecPath path, RunControl* ctl) const {
   if (use_dispatch())
-    sweep_rows(dispatch_rows(), px, k, ws.fb, ws.sweep, emit, path, ctl);
+    sweep_rows(dispatch_rows(), x0, k, ws.fb, ws.sweep, emit, path, ctl);
   else
-    sweep_rows(ScalarRows<double>(split_), px, k, ws.fb, ws.sweep, emit, path,
+    sweep_rows(ScalarRows<double>(split_), x0, k, ws.fb, ws.sweep, emit, path,
                ctl);
 }
 
-void MpkPlan::run_power_path(std::span<const double> px, int k,
-                             std::span<double> py, Workspace& ws,
+void MpkPlan::run_power_path(std::span<const double> x, int k,
+                             std::span<double> y, Workspace& ws,
                              ExecPath path, RunControl* ctl) const {
   if (k == 0) {
-    std::copy(px.begin(), px.end(), py.begin());
+    if (x.data() != y.data()) std::copy(x.begin(), x.end(), y.begin());
     return;
   }
-  double* yp = py.data();
+  // Row i's input is read in the head stage and its output written by
+  // its final-power emit, which runs after that head stage: x and y may
+  // be the same vector.
+  const Permutation* perm = gather_perm();
+  double* yp = y.data();
   sweep(
-      px, k, ws,
+      {x.data(), perm, n_}, k, ws,
       [&](int p, index_t i, double v) {
-        if (p == k) yp[i] = v;
+        if (p == k) yp[old_index(perm, i)] = v;
       },
       path, ctl);
 }
@@ -309,16 +287,7 @@ Status MpkPlan::try_power(std::span<const double> x, int k,
                                      "request cancelled before execution"));
     FBMPK_TSPAN_ARGS(kSweep, "plan.try_power", {.k = k});
 
-    if (perm_.is_identity()) {
-      run_power_path(x, k, y, ws, path, ctl);
-    } else {
-      ws.px.resize(x.size());
-      ws.py.resize(y.size());
-      permute_vector<double>(perm_, x, ws.px);
-      run_power_path(ws.px, k, ws.py, ws, path, ctl);
-      if (ctl == nullptr || !ctl->cancelled())
-        unpermute_vector<double>(perm_, ws.py, y);
-    }
+    run_power_path(x, k, y, ws, path, ctl);
     if (ctl != nullptr && ctl->cancelled())
       return Status(FBMPK_MAKE_ERROR(ctl->cancel_reason(),
                                      "sweep cancelled at a stage boundary"));
@@ -342,11 +311,11 @@ Status MpkPlan::run_power_batch_chunk(const double* const* xs, int k,
                                       double* const* ys, ExecPath path,
                                       RunControl* ctl) const {
   using P = Pack<double, B>;
-  const Permutation* perm = perm_.is_identity() ? nullptr : &perm_;
+  const Permutation* perm = gather_perm();
   const BatchX0<B> x0{xs, perm, n_};
   auto emit = [&](int p, index_t i, const P& v) {
     if (p != k) return;
-    const index_t dst = perm == nullptr ? i : perm->old_of(i);
+    const index_t dst = old_index(perm, i);
     for (int b = 0; b < B; ++b) ys[b][dst] = v.v[b];
   };
 
@@ -428,28 +397,6 @@ Status MpkPlan::try_power_batch(const double* const* xs, index_t nvec, int k,
   }
 }
 
-void MpkPlan::run_power_all(std::span<const double> px, int k,
-                            std::span<double> pout, Workspace& ws) const {
-  const auto n = px.size();
-  std::copy(px.begin(), px.end(), pout.begin());
-  if (k == 0) return;
-  double* op = pout.data();
-  sweep(px, k, ws, [&](int p, index_t i, double v) {
-    op[static_cast<std::size_t>(p) * n + i] = v;
-  });
-}
-
-void MpkPlan::run_polynomial(std::span<const double> coeffs,
-                             std::span<const double> px,
-                             std::span<double> py, Workspace& ws) const {
-  const int k = static_cast<int>(coeffs.size()) - 1;
-  for (std::size_t i = 0; i < py.size(); ++i) py[i] = coeffs[0] * px[i];
-  if (k == 0) return;
-  double* yp = py.data();
-  const double* cp = coeffs.data();
-  sweep(px, k, ws, [&](int p, index_t i, double v) { yp[i] += cp[p] * v; });
-}
-
 void MpkPlan::power(std::span<const double> x, int k, std::span<double> y,
                     Workspace& ws) const {
   FBMPK_CHECK(x.size() == static_cast<std::size_t>(n_));
@@ -457,15 +404,7 @@ void MpkPlan::power(std::span<const double> x, int k, std::span<double> y,
   FBMPK_CHECK(k >= 0);
   FBMPK_TSPAN_ARGS(kSweep, "plan.power", {.k = k});
   FBMPK_TCOUNT("plan.power_calls", 1);
-  if (perm_.is_identity()) {
-    run_power_path(x, k, y, ws, ExecPath::kDefault, nullptr);
-    return;
-  }
-  ws.px.resize(x.size());
-  ws.py.resize(y.size());
-  permute_vector<double>(perm_, x, ws.px);
-  run_power_path(ws.px, k, ws.py, ws, ExecPath::kDefault, nullptr);
-  unpermute_vector<double>(perm_, ws.py, y);
+  run_power_path(x, k, y, ws, ExecPath::kDefault, nullptr);
 }
 
 void MpkPlan::power(std::span<const double> x, int k, std::span<double> y) {
@@ -480,19 +419,14 @@ void MpkPlan::power_all(std::span<const double> x, int k,
   FBMPK_CHECK(k >= 0);
   FBMPK_TSPAN_ARGS(kSweep, "plan.power_all", {.k = k});
   FBMPK_TCOUNT("plan.power_all_calls", 1);
-  if (perm_.is_identity()) {
-    run_power_all(x, k, out, ws);
-    return;
-  }
-  ws.px.resize(n);
-  ws.py.resize(n * static_cast<std::size_t>(k + 1));
-  permute_vector<double>(perm_, x, ws.px);
-  std::span<double> pout(ws.py);
-  run_power_all(std::span<const double>(ws.px), k, pout, ws);
-  for (int p = 0; p <= k; ++p)
-    unpermute_vector<double>(perm_,
-                             pout.subspan(static_cast<std::size_t>(p) * n, n),
-                             out.subspan(static_cast<std::size_t>(p) * n, n));
+  std::copy(x.begin(), x.end(), out.begin());
+  if (k == 0) return;
+  const Permutation* perm = gather_perm();
+  double* op = out.data();
+  sweep({x.data(), perm, n_}, k, ws, [&](int p, index_t i, double v) {
+    op[static_cast<std::size_t>(p) * n +
+       static_cast<std::size_t>(old_index(perm, i))] = v;
+  });
 }
 
 void MpkPlan::power_all(std::span<const double> x, int k,
@@ -506,18 +440,19 @@ void MpkPlan::polynomial(std::span<const double> coeffs,
   const auto n = static_cast<std::size_t>(n_);
   FBMPK_CHECK(x.size() == n && y.size() == n);
   FBMPK_CHECK(!coeffs.empty());
+  FBMPK_CHECK_MSG(x.data() != y.data(),
+                  "polynomial needs distinct x and y vectors");
   FBMPK_TSPAN_ARGS(kSweep, "plan.polynomial",
                    {.k = static_cast<int>(coeffs.size()) - 1});
-  if (perm_.is_identity()) {
-    run_polynomial(coeffs, x, y, ws);
-    return;
-  }
-  ws.px.resize(n);
-  ws.py.resize(n);
-  permute_vector<double>(perm_, x, ws.px);
-  std::span<double> py(ws.py);
-  run_polynomial(coeffs, std::span<const double>(ws.px), py, ws);
-  unpermute_vector<double>(perm_, py, y);
+  const int k = static_cast<int>(coeffs.size()) - 1;
+  for (std::size_t i = 0; i < n; ++i) y[i] = coeffs[0] * x[i];
+  if (k == 0) return;
+  const Permutation* perm = gather_perm();
+  double* yp = y.data();
+  const double* cp = coeffs.data();
+  sweep({x.data(), perm, n_}, k, ws, [&](int p, index_t i, double v) {
+    yp[old_index(perm, i)] += cp[p] * v;
+  });
 }
 
 void MpkPlan::polynomial(std::span<const double> coeffs,
@@ -584,29 +519,14 @@ void MpkPlan::polynomial(std::span<const std::complex<double>> coeffs,
   FBMPK_CHECK(x.size() == n && y.size() == n);
   FBMPK_CHECK(!coeffs.empty());
   const int k = static_cast<int>(coeffs.size()) - 1;
-
-  // Work in the permuted space; y is accumulated there and unpermuted
-  // at the end (permuting complex vectors directly avoids a third
-  // scratch array).
-  std::span<const double> px = x;
-  if (!perm_.is_identity()) {
-    ws.px.resize(n);
-    permute_vector<double>(perm_, x, ws.px);
-    px = std::span<const double>(ws.px);
-  }
-
-  std::vector<std::complex<double>> acc(n);
-  for (std::size_t i = 0; i < n; ++i) acc[i] = coeffs[0] * px[i];
-  if (k >= 1) {
-    const std::complex<double>* cp = coeffs.data();
-    sweep(px, k, ws, [&](int p, index_t i, double v) { acc[i] += cp[p] * v; });
-  }
-
-  if (perm_.is_identity())
-    std::copy(acc.begin(), acc.end(), y.begin());
-  else
-    unpermute_vector<std::complex<double>>(
-        perm_, std::span<const std::complex<double>>(acc), y);
+  for (std::size_t i = 0; i < n; ++i) y[i] = coeffs[0] * x[i];
+  if (k == 0) return;
+  const Permutation* perm = gather_perm();
+  std::complex<double>* yp = y.data();
+  const std::complex<double>* cp = coeffs.data();
+  sweep({x.data(), perm, n_}, k, ws, [&](int p, index_t i, double v) {
+    yp[old_index(perm, i)] += cp[p] * v;
+  });
 }
 
 void MpkPlan::polynomial(std::span<const std::complex<double>> coeffs,

@@ -23,6 +23,7 @@
 #include <memory>
 #include <span>
 
+#include "kernels/fb_batch.hpp"
 #include "kernels/fb_simd.hpp"
 #include "kernels/fbmpk.hpp"
 #include "kernels/fbmpk_parallel.hpp"
@@ -222,8 +223,11 @@ class MpkPlan {
   struct Workspace {
     FbWorkspace<double> fb;        ///< serial sweep scratch
     SweepWorkspace<double> sweep;  ///< parallel (stage schedule) scratch
-    AlignedVector<double> px;  ///< permuted input
-    AlignedVector<double> py;  ///< permuted output
+    /// Permuted input/output of recurrence(). The other run methods
+    /// gather x and scatter y inside the sweep (head and final-power
+    /// stages) and never touch these.
+    AlignedVector<double> px;
+    AlignedVector<double> py;
   };
 
   /// Preprocess matrix `a` (square). Throws fbmpk::Error on invalid
@@ -263,7 +267,8 @@ class MpkPlan {
   /// point (degradation-ladder rungs + per-request deadlines). Instead
   /// of throwing, failures come back as a typed Status: kUnsupported
   /// when the forced path needs structures this plan lacks, kCancelled
-  /// / kTimeout when `ctl` fired mid-sweep (y is then unspecified),
+  /// / kTimeout when `ctl` fired mid-sweep (y is then unspecified, and
+  /// so is x when it is y),
   /// kResourceLimit on allocation failure. The token is polled at
   /// sweep color/k boundaries; cancellation never throws across a
   /// parallel region.
@@ -291,7 +296,8 @@ class MpkPlan {
                  Workspace& ws) const;
   void power_all(std::span<const double> x, int k, std::span<double> out);
 
-  /// y = sum_{p=0..k} coeffs[p] * A^p x, k = coeffs.size()-1.
+  /// y = sum_{p=0..k} coeffs[p] * A^p x, k = coeffs.size()-1. x and y
+  /// must not overlap.
   void polynomial(std::span<const double> coeffs, std::span<const double> x,
                   std::span<double> y, Workspace& ws) const;
   void polynomial(std::span<const double> coeffs, std::span<const double> x,
@@ -351,24 +357,24 @@ class MpkPlan {
   void sweep_rows(const Rows& rows, const X0& x0, int k,
                   FbWorkspace<TI>& serial_ws, SweepWorkspace<TI>& ws,
                   Emit&& emit, ExecPath path, RunControl* ctl) const;
-  /// sweep_rows over the plan's single-vector row policy.
+  /// sweep_rows over the plan's single-vector row policy. emit gets
+  /// permuted row indices; the caller scatters through gather_perm().
   template <class Emit>
-  void sweep(std::span<const double> px, int k, Workspace& ws, Emit&& emit,
+  void sweep(const GatherX0& x0, int k, Workspace& ws, Emit&& emit,
              ExecPath path = ExecPath::kDefault,
              RunControl* ctl = nullptr) const;
+  /// The reorder permutation the sweeps gather x and scatter y
+  /// through; nullptr when it is the identity.
+  const Permutation* gather_perm() const {
+    return perm_.is_identity() ? nullptr : &perm_;
+  }
 
-  void run_power_path(std::span<const double> px, int k,
-                      std::span<double> py, Workspace& ws, ExecPath path,
-                      RunControl* ctl) const;
+  void run_power_path(std::span<const double> x, int k, std::span<double> y,
+                      Workspace& ws, ExecPath path, RunControl* ctl) const;
   template <int B>
   Status run_power_batch_chunk(const double* const* xs, int k,
                                double* const* ys, ExecPath path,
                                RunControl* ctl) const;
-  void run_power_all(std::span<const double> px, int k,
-                     std::span<double> pout, Workspace& ws) const;
-  void run_polynomial(std::span<const double> coeffs,
-                      std::span<const double> px, std::span<double> py,
-                      Workspace& ws) const;
 
   index_t n_ = 0;
   PlanOptions opts_;

@@ -20,7 +20,9 @@
 // BatchX0<B> is the no-copy gather adapter: the head stage reads lane b
 // of row slot i straight from xs[b][old_of(i)], applying the plan's
 // reorder permutation inline, so batched execution never stages the B
-// input vectors into a permuted scratch copy.
+// input vectors into a permuted scratch copy. GatherX0 is its
+// single-vector twin, which every single-vector MpkPlan run method
+// (except recurrence) sweeps over.
 #pragma once
 
 #include "kernels/dispatch.hpp"
@@ -42,10 +44,25 @@ struct BatchX0 {
 
   std::size_t size() const { return static_cast<std::size_t>(n); }
   Pack<double, B> operator[](index_t i) const {
-    const index_t src = perm == nullptr ? i : perm->old_of(i);
+    const index_t src = old_index(perm, i);
     Pack<double, B> p;
     for (int b = 0; b < B; ++b) p.v[b] = xs[b][src];
     return p;
+  }
+};
+
+/// x0 source for a single-vector sweep: x[old_of(i)] with the
+/// permutation applied inline (`perm == nullptr` means identity).
+/// operator[] returns a reference so traced serial sweeps can record
+/// the address they read.
+struct GatherX0 {
+  const double* x;
+  const Permutation* perm;
+  index_t n;
+
+  std::size_t size() const { return static_cast<std::size_t>(n); }
+  const double& operator[](index_t i) const {
+    return x[old_index(perm, i)];
   }
 };
 

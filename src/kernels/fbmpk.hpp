@@ -103,9 +103,12 @@ struct FbWorkspace {
 };
 
 /// FB + BtB sweep. emit(p, i, v) fires once per power p in [1, k], row i,
-/// with v = (A^p x0)[i]. k >= 1.
-template <class T, class Emit, MemoryTracer Tr>
-void fbmpk_sweep_btb(const TriangularSplit<T>& s, std::span<const T> x0,
+/// with v = (A^p x0)[i]. k >= 1. `x0` is any source with size() and an
+/// operator[] returning a reference (a span, or the plan's GatherX0
+/// reading through the reorder permutation, kernels/fb_batch.hpp); the
+/// head reads each element once, before any emit.
+template <class T, class X0, class Emit, MemoryTracer Tr>
+void fbmpk_sweep_btb(const TriangularSplit<T>& s, const X0& x0,
                      int k, FbWorkspace<T>& ws, Emit&& emit, Tr& tr) {
   const index_t n = s.lower.rows();
   FBMPK_CHECK(s.upper.rows() == n &&
@@ -126,7 +129,7 @@ void fbmpk_sweep_btb(const TriangularSplit<T>& s, std::span<const T> x0,
 
   // Head: even slots <- x0; tmp <- U·x0.
   for (index_t i = 0; i < n; ++i) {
-    tr.read(x0.data() + i);
+    tr.read(&x0[i]);
     xy[2 * i] = x0[i];
     tr.write(xy + 2 * i);
   }
@@ -216,8 +219,8 @@ void fbmpk_sweep_btb(const TriangularSplit<T>& s, std::span<const T> x0,
 /// FB-only sweep: same pipeline, iterates in two separate arrays
 /// (Fig 10's "FB" configuration). Uses ws.xy's first n slots as the
 /// even iterate and ws.xalt as the odd iterate.
-template <class T, class Emit, MemoryTracer Tr>
-void fbmpk_sweep_split(const TriangularSplit<T>& s, std::span<const T> x0,
+template <class T, class X0, class Emit, MemoryTracer Tr>
+void fbmpk_sweep_split(const TriangularSplit<T>& s, const X0& x0,
                        int k, FbWorkspace<T>& ws, Emit&& emit, Tr& tr) {
   const index_t n = s.lower.rows();
   FBMPK_CHECK(s.upper.rows() == n &&
@@ -238,7 +241,7 @@ void fbmpk_sweep_split(const TriangularSplit<T>& s, std::span<const T> x0,
   T* tmp = ws.tmp.data();
 
   for (index_t i = 0; i < n; ++i) {
-    tr.read(x0.data() + i);
+    tr.read(&x0[i]);
     xe[i] = x0[i];
     tr.write(xe + i);
   }
@@ -321,8 +324,8 @@ void fbmpk_sweep_split(const TriangularSplit<T>& s, std::span<const T> x0,
 enum class FbVariant { kBtb, kSplit };
 
 /// Generic dispatcher (untraced).
-template <class T, class Emit>
-void fbmpk_sweep(const TriangularSplit<T>& s, std::span<const T> x0, int k,
+template <class T, class X0, class Emit>
+void fbmpk_sweep(const TriangularSplit<T>& s, const X0& x0, int k,
                  FbWorkspace<T>& ws, Emit&& emit,
                  FbVariant variant = FbVariant::kBtb) {
   NullTracer tr;

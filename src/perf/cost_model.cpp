@@ -119,31 +119,22 @@ double predict_fbmpk_scalability(const PlatformSpec& p,
   return base1 / fb_t;
 }
 
-PartitionImbalance partition_imbalance(const AbmcOrdering& o,
-                                       std::span<const index_t> weights,
-                                       index_t threads,
-                                       PartitionStrategy strategy) {
-  FBMPK_CHECK(threads >= 1);
-  const ColorPartition part = partition_colors(o, weights, threads, strategy);
+PartitionImbalance partition_imbalance(const StageSchedule& s) {
   PartitionImbalance result;
-  double weighted = 0.0, total = 0.0;
-  for (index_t c = 0; c < o.num_colors; ++c) {
-    long long color_nnz = 0;
-    long long max_load = 0;
-    for (index_t t = 0; t < threads; ++t) {
-      const long long load = part.load[part.slot(t, c)];
-      color_nnz += load;
-      max_load = std::max(max_load, load);
+  result.mean = stage_imbalance(s);
+  for (const StageDirection* d : {&s.fwd, &s.bwd})
+    for (index_t st = 0; st < d->num_stages; ++st) {
+      long long total = 0, peak = 0;
+      for (index_t t = 0; t < s.num_threads; ++t) {
+        const long long load = d->load[d->slot(t, st)];
+        total += load;
+        peak = std::max(peak, load);
+      }
+      if (total == 0) continue;
+      result.worst = std::max(
+          result.worst, static_cast<double>(peak) * s.num_threads /
+                            static_cast<double>(total));
     }
-    if (color_nnz == 0) continue;
-    const double mean_load =
-        static_cast<double>(color_nnz) / static_cast<double>(threads);
-    const double ratio = static_cast<double>(max_load) / mean_load;
-    result.worst = std::max(result.worst, ratio);
-    weighted += ratio * static_cast<double>(color_nnz);
-    total += static_cast<double>(color_nnz);
-  }
-  result.mean = total > 0.0 ? weighted / total : 1.0;
   return result;
 }
 

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "reorder/abmc.hpp"
-#include "reorder/nnz_partition.hpp"
+#include "reorder/stage_schedule.hpp"
 #include "sparse/csr.hpp"
 
 namespace fbmpk::perf {
@@ -87,21 +87,14 @@ double predict_fbmpk_seconds(const PlatformSpec& p, const WorkloadShape& w,
 double predict_fbmpk_scalability(const PlatformSpec& p,
                                  const WorkloadShape& w, int k, int threads);
 
-/// Load imbalance of a per-color thread partition, as max/mean nnz per
-/// thread. 1.0 is a perfect split; a color sweep finishes when its
-/// most-loaded thread does, so the ratio is the slowdown the partition
-/// itself costs (barriers aside).
+/// Load imbalance of a stage schedule's thread partition. 1.0 is a
+/// perfect split; a stage finishes when its most-loaded thread does.
 struct PartitionImbalance {
-  double worst = 1.0;  ///< max over colors
-  double mean = 1.0;   ///< nnz-weighted mean over colors
+  double worst = 1.0;  ///< max over stages of max/mean slot load
+  double mean = 1.0;   ///< critical path: stage_imbalance(s)
 };
 
-/// Evaluate `strategy` (block-static vs nnz-LPT) for an ordering at a
-/// given thread count; `weights` are per-block nnz weights
-/// (block_nnz_weights).
-PartitionImbalance partition_imbalance(const AbmcOrdering& o,
-                                       std::span<const index_t> weights,
-                                       index_t threads,
-                                       PartitionStrategy strategy);
+/// Evaluate the partition of a stage schedule (either front-end).
+PartitionImbalance partition_imbalance(const StageSchedule& s);
 
 }  // namespace fbmpk::perf

@@ -13,8 +13,9 @@
 //  - within a multi-level stage, rows are grouped by connected
 //    component of the triangle subgraph induced by the stage's rows:
 //    rows of different components share no edges, so components are
-//    independent units a greedy LPT pass balances across threads (the
-//    same makespan heuristic as reorder/nnz_partition.hpp). Every
+//    independent units a greedy LPT pass balances across threads
+//    (components are not contiguous, so unlike ABMC's color blocks,
+//    reorder/nnz_partition.hpp, they cannot be cut by prefix sum). Every
 //    intra-stage edge is therefore *intra-thread*, and each thread
 //    runs its rows in level order so producers precede consumers —
 //    the blocking invariant validate_stage_schedule enforces;

@@ -1,8 +1,6 @@
 #include "reorder/nnz_partition.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <utility>
 
 namespace fbmpk {
 
@@ -27,8 +25,7 @@ std::vector<index_t> block_nnz_weights(const AbmcOrdering& o,
 
 ColorPartition partition_colors(const AbmcOrdering& o,
                                 std::span<const index_t> weights,
-                                index_t num_threads,
-                                PartitionStrategy strategy) {
+                                index_t num_threads) {
   FBMPK_CHECK(num_threads >= 1);
   FBMPK_CHECK(weights.size() == static_cast<std::size_t>(o.num_blocks));
   const index_t C = o.num_colors;
@@ -37,65 +34,39 @@ ColorPartition partition_colors(const AbmcOrdering& o,
   ColorPartition p;
   p.num_threads = T;
   p.num_colors = C;
+  p.block_ptr.assign(static_cast<std::size_t>(T) * C + 1, 0);
   p.owner_of.assign(static_cast<std::size_t>(o.num_blocks), 0);
   p.load.assign(static_cast<std::size_t>(T) * C, 0);
 
-  // Collect per-(thread, color) block lists, then flatten.
-  std::vector<std::vector<index_t>> assigned(static_cast<std::size_t>(T) * C);
-
   for (index_t c = 0; c < C; ++c) {
     const index_t first = o.color_ptr[c];
-    const index_t count = o.color_ptr[c + 1] - first;
-    if (strategy == PartitionStrategy::kBlockStatic) {
-      // Mirror `omp for schedule(static)`: one contiguous chunk each.
-      const index_t base = count / T;
-      const index_t rem = count % T;
-      index_t b = first;
-      for (index_t t = 0; t < T; ++t) {
-        const index_t take = base + (t < rem ? 1 : 0);
-        for (index_t i = 0; i < take; ++i, ++b) {
-          assigned[p.slot(t, c)].push_back(b);
-          p.owner_of[b] = t;
-          p.load[p.slot(t, c)] += weights[b];
-        }
-      }
-    } else {
-      // Greedy LPT: heaviest block first onto the least-loaded thread.
-      std::vector<index_t> order(static_cast<std::size_t>(count));
-      for (index_t i = 0; i < count; ++i) order[i] = first + i;
-      std::stable_sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-        return weights[a] > weights[b];
-      });
-      // Min-heap of (load, thread); thread id breaks ties for
-      // determinism.
-      using Slot = std::pair<index_t, index_t>;
-      std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> heap;
-      for (index_t t = 0; t < T; ++t) heap.emplace(0, t);
-      for (index_t b : order) {
-        auto [load, t] = heap.top();
-        heap.pop();
-        assigned[p.slot(t, c)].push_back(b);
-        p.owner_of[b] = t;
-        heap.emplace(load + weights[b], t);
-      }
-      for (index_t t = 0; t < T; ++t) {
-        // Keep each thread's blocks in ascending order: within one
-        // color the execution order is free (no same-color edges), but
-        // ascending ranges walk memory forward.
-        auto& list = assigned[p.slot(t, c)];
-        std::sort(list.begin(), list.end());
-        for (index_t b : list) p.load[p.slot(t, c)] += weights[b];
-      }
+    const index_t last = o.color_ptr[c + 1];
+    long long total = 0;
+    for (index_t b = first; b < last; ++b) total += weights[b];
+    // Block b goes to thread ⌊T·(prefix + w/2) / W⌋ = ⌊T·(2·prefix + w)
+    // / 2W⌋. The midpoints ascend with b, so the owners do too: each
+    // thread gets one contiguous chunk. A weightless color stays on
+    // thread 0.
+    long long prefix = 0;
+    for (index_t b = first; b < last; ++b) {
+      const long long w = weights[b];
+      const index_t t =
+          total == 0 ? 0
+                     : static_cast<index_t>(std::min<long long>(
+                           T - 1, T * (2 * prefix + w) / (2 * total)));
+      prefix += w;
+      p.owner_of[b] = t;
+      p.load[p.slot(t, c)] += weights[b];
+    }
+    // Chunk boundaries: slot (t, c) starts at its first block owned by
+    // a thread >= t.
+    index_t b = first;
+    for (index_t t = 0; t < T; ++t) {
+      p.block_ptr[p.slot(t, c)] = b;
+      while (b < last && p.owner_of[b] == t) ++b;
     }
   }
-
-  p.part_ptr.assign(static_cast<std::size_t>(T) * C + 1, 0);
-  for (std::size_t s = 0; s < assigned.size(); ++s)
-    p.part_ptr[s + 1] =
-        p.part_ptr[s] + static_cast<index_t>(assigned[s].size());
-  p.part_blocks.reserve(static_cast<std::size_t>(o.num_blocks));
-  for (const auto& list : assigned)
-    p.part_blocks.insert(p.part_blocks.end(), list.begin(), list.end());
+  p.block_ptr.back() = o.num_blocks;
   return p;
 }
 

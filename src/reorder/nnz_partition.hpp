@@ -1,14 +1,15 @@
-// Nonzero-balanced partitioning of ABMC color blocks across threads.
+// Work-balanced partitioning of ABMC color blocks across threads.
 //
-// Two strategies: contiguous chunks of *blocks* per color (what
-// `schedule(static)` hands out — the ABMC front-end of the stage
-// schedule uses it, reorder/stage_schedule.hpp), and planning by
-// *work*: each block is weighted by the nonzeros its rows touch in one
-// forward + backward pass (L row range + U row range + diagonal), and
-// blocks of one color are distributed with greedy LPT (longest
-// processing time first) — the classic 4/3-approximation of makespan
-// scheduling. The cost model's imbalance metric scores both
-// (perf/cost_model.hpp).
+// Each block is weighted by the nonzeros its rows touch in one forward
+// + backward pass (L row range + U row range + diagonal). A color's
+// blocks are one contiguous run in the permuted order; the partition
+// cuts that run into `T` contiguous chunks by the prefix sum of the
+// weights: block b goes to thread ⌊T·(prefix_b + w_b/2) / W_c⌋, where
+// prefix_b is the weight of the color's blocks before b and W_c the
+// color's total. Every (thread, color) slot is therefore one row range
+// (the row loop keeps its locality), and every slot's load is at most
+// W_c/T + max_b w_b. The ABMC front-end of the stage schedule uses it
+// (reorder/stage_schedule.hpp); stage_imbalance scores the result.
 #pragma once
 
 #include <span>
@@ -25,35 +26,28 @@ std::vector<index_t> block_nnz_weights(const AbmcOrdering& o,
                                        std::span<const index_t> lower_rp,
                                        std::span<const index_t> upper_rp);
 
-/// How blocks of one color are assigned to threads.
-enum class PartitionStrategy {
-  kBlockStatic,  ///< contiguous block chunks (what schedule(static) does)
-  kNnzLpt,       ///< greedy LPT over block nnz weights
-};
-
-/// Assignment of every color's blocks to `num_threads` threads.
+/// Assignment of every color's blocks to `num_threads` threads. Slots
+/// are color-major, so the slots tile the block order: slot (t, c) runs
+/// blocks [block_ptr[slot(t, c)], block_ptr[slot(t, c) + 1]).
 struct ColorPartition {
   index_t num_threads = 0;
   index_t num_colors = 0;
-  /// Blocks of (thread t, color c) are
-  /// part_blocks[part_ptr[t*num_colors+c] .. part_ptr[t*num_colors+c+1]).
-  std::vector<index_t> part_ptr;
-  std::vector<index_t> part_blocks;
+  std::vector<index_t> block_ptr;
   /// owner_of[b] = thread that executes block b.
   std::vector<index_t> owner_of;
-  /// Work per (thread, color): load[t*num_colors+c] in nnz weight.
+  /// Work per slot in nnz weight, indexed by slot(t, c).
   std::vector<index_t> load;
 
   std::size_t slot(index_t t, index_t c) const {
-    return static_cast<std::size_t>(t) * num_colors + c;
+    return static_cast<std::size_t>(c) * num_threads + t;
   }
 };
 
-/// Partition each color's blocks across threads by `strategy` using the
-/// given per-block weights (from block_nnz_weights). num_threads >= 1.
+/// Split each color's blocks into `num_threads` contiguous chunks
+/// balanced by the given per-block weights (from block_nnz_weights).
+/// num_threads >= 1.
 ColorPartition partition_colors(const AbmcOrdering& o,
                                 std::span<const index_t> weights,
-                                index_t num_threads,
-                                PartitionStrategy strategy);
+                                index_t num_threads);
 
 }  // namespace fbmpk

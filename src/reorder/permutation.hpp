@@ -74,6 +74,13 @@ class Permutation {
   std::vector<index_t> order_;
 };
 
+/// old_of(i) through an optional permutation (nullptr: the identity) —
+/// the gather/scatter index of a sweep that runs in a plan's permuted
+/// space.
+inline index_t old_index(const Permutation* p, index_t i) {
+  return p == nullptr ? i : p->old_of(i);
+}
+
 /// Symmetric permutation B = P A P^T: row/column new_i of B is
 /// row/column order[new_i] of A.
 template <class T>

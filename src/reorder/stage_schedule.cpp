@@ -179,12 +179,11 @@ StageSchedule build_sweep_schedule(const AbmcOrdering& o,
   const index_t C = o.num_colors;
   const std::size_t slots = static_cast<std::size_t>(T) * C;
 
-  // Each color's blocks in contiguous chunks, one per thread (what
-  // `omp for schedule(static)` hands out). Color c is forward stage c
-  // and backward stage C-1-c; both run the same rows.
-  const ColorPartition part = partition_colors(
-      o, block_nnz_weights(o, lower_rp, upper_rp), T,
-      PartitionStrategy::kBlockStatic);
+  // Each color's blocks in contiguous chunks balanced by nnz weight,
+  // one per thread (reorder/nnz_partition.hpp). Color c is forward
+  // stage c and backward stage C-1-c; both run the same rows.
+  const ColorPartition part =
+      partition_colors(o, block_nnz_weights(o, lower_rp, upper_rp), T);
 
   StageSchedule s;
   s.num_threads = T;
@@ -200,19 +199,14 @@ StageSchedule build_sweep_schedule(const AbmcOrdering& o,
   s.bwd.load.assign(slots, 0);
   for (index_t t = 0; t < T; ++t)
     for (index_t c = 0; c < C; ++c) {
+      // A slot's blocks are contiguous, so its rows are one range.
       const std::size_t q = part.slot(t, c);
-      auto& ranges = fr[s.fwd.slot(t, c)];
-      for (index_t pi = part.part_ptr[q]; pi < part.part_ptr[q + 1]; ++pi) {
-        const index_t b = part.part_blocks[pi];
-        const index_t lo = o.block_ptr[b];
-        const index_t hi = o.block_ptr[b + 1];
-        if (lo == hi) continue;
-        if (!ranges.empty() && ranges.back().end == lo)
-          ranges.back().end = hi;  // adjacent blocks: one range
-        else
-          ranges.push_back({lo, hi});
+      const index_t lo = o.block_ptr[part.block_ptr[q]];
+      const index_t hi = o.block_ptr[part.block_ptr[q + 1]];
+      if (lo < hi) {
+        fr[s.fwd.slot(t, c)].push_back({lo, hi});
+        br[bwd_slot(t, c)].push_back({lo, hi});
       }
-      br[bwd_slot(t, c)] = ranges;
       s.fwd.load[s.fwd.slot(t, c)] = part.load[q];
       s.bwd.load[bwd_slot(t, c)] = part.load[q];
     }
@@ -242,8 +236,7 @@ StageSchedule build_sweep_schedule(const AbmcOrdering& o,
       lower.reset(t);
       upper.reset(t);
       const std::size_t q = part.slot(t, c);
-      for (index_t pi = part.part_ptr[q]; pi < part.part_ptr[q + 1]; ++pi) {
-        const index_t b = part.part_blocks[pi];
+      for (index_t b = part.block_ptr[q]; b < part.block_ptr[q + 1]; ++b) {
         for (index_t e = g.ptr[b]; e < g.ptr[b + 1]; ++e) {
           const index_t nb = g.adj[e];
           const index_t u = part.owner_of[nb];
@@ -268,6 +261,22 @@ StageSchedule build_sweep_schedule(const AbmcOrdering& o,
   flatten(edge, s.edge_dep_ptr, s.edge_deps);
   s.pair_dep_ptr.assign(static_cast<std::size_t>(T) + 1, 0);
   return s;
+}
+
+double stage_imbalance(const StageSchedule& s) {
+  double peak = 0.0, mean = 0.0;
+  for (const StageDirection* d : {&s.fwd, &s.bwd})
+    for (index_t st = 0; st < d->num_stages; ++st) {
+      double top = 0.0, sum = 0.0;
+      for (index_t t = 0; t < s.num_threads; ++t) {
+        const double l = static_cast<double>(d->load[d->slot(t, st)]);
+        top = std::max(top, l);
+        sum += l;
+      }
+      peak += top;
+      mean += sum / static_cast<double>(s.num_threads);
+    }
+  return mean > 0.0 ? peak / mean : 1.0;
 }
 
 void derive_stage_deps(StageSchedule& s, std::span<const index_t> lower_rp,

@@ -7,7 +7,7 @@
 //
 //  - ABMC (build_sweep_schedule, below): color c is forward stage c and
 //    backward stage C-1-c; each color's blocks are split across threads
-//    by contiguous block chunks (PartitionStrategy::kBlockStatic);
+//    into contiguous chunks balanced by nnz (reorder/nnz_partition.hpp);
 //  - levels (build_level_sweep_schedule, reorder/level_blocking.hpp):
 //    cache-budgeted runs of dependency levels become stages, and their
 //    connected components are balanced across threads.
@@ -113,6 +113,14 @@ StageSchedule build_sweep_schedule(const AbmcOrdering& o,
                               s.upper.row_ptr(), s.upper.col_idx(),
                               num_threads);
 }
+
+/// Critical-path imbalance of the schedule's loads: Σ over the stages
+/// of both directions of the most-loaded slot, divided by Σ of the
+/// mean slot load. A stage ends when its most-loaded thread does, so
+/// this is the slowdown the partition itself costs the sweep (waits
+/// aside). 1.0 is a perfect split (and the value of an empty or
+/// weightless schedule).
+double stage_imbalance(const StageSchedule& s);
 
 /// Fill both directions' dep_ptr/deps with the within-pair waits the
 /// rows of each slot need (the data they read this pair, and the

@@ -3,7 +3,10 @@
 //  - differential: both front-ends x both rungs x threads {1,2,4,7} on
 //    the property-harness matrices, bitwise against the serial sweep of
 //    the same split — including the barrier rung folding a schedule
-//    onto a smaller OpenMP team;
+//    onto a smaller OpenMP team; and the plan's run methods (which
+//    gather x and scatter y through the reorder permutation inside the
+//    sweep) on every rung, bitwise against a serial plan, with power
+//    run in place;
 //  - validator mutations: on schedules built by either front-end, a
 //    dropped dep, a row in two slots or in none, a cross-thread edge
 //    inside a stage, a consumer placed before its producer, and a
@@ -13,9 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <complex>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/plan.hpp"
 #include "kernels/fbmpk.hpp"
 #include "kernels/fbmpk_parallel.hpp"
 #include "reorder/abmc.hpp"
@@ -103,6 +109,102 @@ TEST_P(StageScheduleDifferential, BothFrontEndsBothRungsBitwiseEqualSerial) {
         expect_ref("barrier");
         test::stage_power(fe.split, wide, x, kk, y, /*engine=*/false);
         expect_ref("barrier-folded");
+      }
+    }
+  }
+}
+
+// The plan's run methods gather x and scatter y through the reorder
+// permutation inside the sweep. On reordered plans of either front-end,
+// every rung must equal a serial plan bitwise, and power may run in
+// place (x and y the same vector).
+TEST_P(StageScheduleDifferential, PlanRunMethodsMatchSerialPlanAndAlias) {
+  using cd = std::complex<double>;
+  constexpr int kMaxK = 6;
+  ThreadGuard guard;
+  const int threads = GetParam();
+  set_threads(threads);
+  const test::SchedulerFilter filter = test::scheduler_filter();
+  const int seeds = test::property_seed_count();
+  for (int seed = 0; seed < seeds; ++seed) {
+    SCOPED_TRACE("FBMPK_PROP_SEED=" + std::to_string(seed));
+    test::Xorshift64 rng(0x50524d53ull ^
+                         (static_cast<std::uint64_t>(seed) << 32));
+    const auto a = test::draw_property_matrix(rng);
+    const std::size_t n = static_cast<std::size_t>(a.rows());
+    const auto x = test::random_vector(a.rows(), rng.next());
+    // Every buffer the sweeps touch lives for the whole seed.
+    MpkPlan::Workspace ws;
+    AlignedVector<double> ref(n), y(n), z(n), basis_ref(n * (kMaxK + 1)),
+        basis(n * (kMaxK + 1)), poly_ref(n), poly(n);
+    std::vector<cd> cpoly_ref(n), cpoly(n);
+    std::vector<double> coeffs;
+    std::vector<cd> ccoeffs;
+    const auto expect_eq = [](std::span<const double> got,
+                              std::span<const double> want,
+                              const std::string& what) {
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << what << " element " << i;
+    };
+    for (const Scheduler sch : {Scheduler::kAbmc, Scheduler::kLevels}) {
+      if (!(sch == Scheduler::kAbmc ? filter.abmc : filter.levels)) continue;
+      SCOPED_TRACE(std::string("scheduler=") + scheduler_name(sch));
+      PlanOptions opts;
+      opts.abmc.num_blocks = 24;
+      opts.scheduler = sch;
+      opts.sweep.threads = threads;
+      PlanOptions serial_opts = opts;
+      serial_opts.parallel = false;
+      const MpkPlan serial = MpkPlan::build(a, serial_opts);
+      ASSERT_FALSE(serial.permutation().is_identity());
+      opts.sweep.sync = SweepSync::kPointToPoint;
+      const MpkPlan p2p = MpkPlan::build(a, opts);
+      opts.sweep.sync = SweepSync::kBarrier;
+      const MpkPlan barrier = MpkPlan::build(a, opts);
+      // Destroyed first: runs before the plans and buffers are freed.
+      const test::OpenMpJoinFence fence;
+
+      for (const int k : {1, 2, 5, kMaxK}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        const std::size_t nb = n * static_cast<std::size_t>(k + 1);
+        coeffs.assign(static_cast<std::size_t>(k) + 1, 0.0);
+        ccoeffs.assign(coeffs.size(), cd{});
+        for (std::size_t p = 0; p < coeffs.size(); ++p) {
+          coeffs[p] = 1.0 / static_cast<double>(p + 1);
+          ccoeffs[p] = cd(coeffs[p], -0.5 * coeffs[p]);
+        }
+        serial.power(x, k, ref, ws);
+        serial.power_all(x, k, std::span(basis_ref).first(nb), ws);
+        serial.polynomial(coeffs, x, poly_ref, ws);
+        serial.polynomial(ccoeffs, x, cpoly_ref, ws);
+
+        const std::pair<const char*, ExecPath> rungs[] = {
+            {"engine", ExecPath::kEngine},
+            {"barrier", ExecPath::kBarrier},
+            {"serial", ExecPath::kSerial}};
+        for (const auto& [rung, path] : rungs) {
+          ASSERT_TRUE(p2p.try_power(x, k, y, ws, path).ok());
+          expect_eq(y, ref, std::string("try_power ") + rung);
+          std::copy(x.begin(), x.end(), z.begin());
+          ASSERT_TRUE(p2p.try_power(z, k, z, ws, path).ok());
+          expect_eq(z, ref, std::string("aliased try_power ") + rung);
+        }
+        for (const MpkPlan* plan : {&p2p, &barrier}) {
+          const std::string sync =
+              plan == &p2p ? " (point-to-point)" : " (barrier)";
+          std::copy(x.begin(), x.end(), z.begin());
+          plan->power(z, k, z, ws);
+          expect_eq(z, ref, "aliased power" + sync);
+          plan->power_all(x, k, std::span(basis).first(nb), ws);
+          expect_eq(std::span(basis).first(nb), std::span(basis_ref).first(nb),
+                    "power_all" + sync);
+          plan->polynomial(coeffs, x, poly, ws);
+          expect_eq(poly, poly_ref, "polynomial" + sync);
+          plan->polynomial(ccoeffs, x, cpoly, ws);
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(cpoly[i], cpoly_ref[i])
+                << "complex polynomial" << sync << " element " << i;
+        }
       }
     }
   }

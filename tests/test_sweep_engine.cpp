@@ -6,7 +6,9 @@
 // barrier rung rather than produce a different answer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 #include <tuple>
 
 #include "core/plan.hpp"
@@ -215,39 +217,95 @@ TEST(SweepSchedule, ValidatesAndRejectsTampering) {
   }
 }
 
-TEST(SweepSchedule, LptBalancesSkewedWeightsBetterThanStatic) {
-  // One color, one heavy block: static by-count puts the heavy block
-  // plus half the light ones on thread 0 (load 11); LPT isolates it
-  // (load 8 vs 7).
-  AbmcOrdering o;
-  o.num_blocks = 8;
-  o.num_colors = 1;
-  o.color_ptr = {0, 8};
-  const std::vector<index_t> w{8, 1, 1, 1, 1, 1, 1, 1};
-
-  const auto stat =
-      partition_colors(o, w, 2, PartitionStrategy::kBlockStatic);
-  const auto lpt = partition_colors(o, w, 2, PartitionStrategy::kNnzLpt);
-  const auto max_load = [](const ColorPartition& p) {
-    index_t m = 0;
-    for (index_t l : p.load) m = std::max(m, l);
-    return m;
-  };
-  EXPECT_EQ(max_load(stat), 11);
-  EXPECT_EQ(max_load(lpt), 8);
+TEST(SweepSchedule, WeightedSplitBoundsEveryColor) {
+  {
+    // One color, one heavy block: a by-count split put the heavy block
+    // plus three light ones on thread 0 (load 11); the weighted split
+    // cuts right after it (load 8 vs 7).
+    AbmcOrdering o;
+    o.num_blocks = 8;
+    o.num_colors = 1;
+    o.color_ptr = {0, 8};
+    const std::vector<index_t> w{8, 1, 1, 1, 1, 1, 1, 1};
+    const auto part = partition_colors(o, w, 2);
+    EXPECT_EQ(*std::max_element(part.load.begin(), part.load.end()), 8);
+  }
+  const int seeds = test::property_seed_count();
+  for (int seed = 0; seed < seeds; ++seed) {
+    SCOPED_TRACE("FBMPK_PROP_SEED=" + std::to_string(seed));
+    test::Xorshift64 rng(0x50415254ull ^
+                         (static_cast<std::uint64_t>(seed) << 32));
+    const auto p = prepare(test::draw_property_matrix(rng), 24);
+    const AbmcOrdering& o = p.schedule;
+    const auto w = block_nnz_weights(o, p.split.lower.row_ptr(),
+                                     p.split.upper.row_ptr());
+    for (const index_t T : {2, 4, 7}) {
+      SCOPED_TRACE("threads=" + std::to_string(T));
+      const auto part = partition_colors(o, w, T);
+      std::vector<int> owned(static_cast<std::size_t>(o.num_blocks), 0);
+      for (index_t c = 0; c < o.num_colors; ++c) {
+        long long total = 0, heaviest = 0;
+        for (index_t b = o.color_ptr[c]; b < o.color_ptr[c + 1]; ++b) {
+          total += w[b];
+          heaviest = std::max<long long>(heaviest, w[b]);
+        }
+        for (index_t t = 0; t < T; ++t) {
+          const std::size_t q = part.slot(t, c);
+          const index_t lo = part.block_ptr[q];
+          const index_t hi = part.block_ptr[q + 1];
+          ASSERT_LE(o.color_ptr[c], lo);
+          ASSERT_LE(lo, hi);
+          ASSERT_LE(hi, o.color_ptr[c + 1]);
+          long long load = 0;
+          for (index_t b = lo; b < hi; ++b) {
+            ++owned[b];
+            EXPECT_EQ(part.owner_of[b], t);
+            load += w[b];
+          }
+          EXPECT_EQ(part.load[q], load);
+          // load <= W_c/T + max w_b, in integers.
+          EXPECT_LE(T * load, total + T * heaviest)
+              << "color " << c << " thread " << t;
+        }
+      }
+      for (index_t b = 0; b < o.num_blocks; ++b)
+        EXPECT_EQ(owned[b], 1) << "block " << b;
+      // The stage schedule stores every slot as at most one row range.
+      const StageSchedule sched = build_sweep_schedule(o, p.split, T);
+      ASSERT_TRUE(validate_stage_schedule(sched, p.split));
+      for (const StageDirection* d : {&sched.fwd, &sched.bwd})
+        for (std::size_t q = 0; q + 1 < d->range_ptr.size(); ++q)
+          EXPECT_LE(d->range_ptr[q + 1] - d->range_ptr[q], 1) << "slot " << q;
+    }
+  }
 }
 
 TEST(SweepSchedule, ImbalanceMetricIsSaneOnRealMatrix) {
   const auto a = test::random_matrix(400, 8.0, true, 71);
   const auto p = prepare(a, 32);
-  const auto w = block_nnz_weights(p.schedule, p.split.lower.row_ptr(),
-                                   p.split.upper.row_ptr());
-  for (const auto strat :
-       {PartitionStrategy::kBlockStatic, PartitionStrategy::kNnzLpt}) {
-    const auto imb = perf::partition_imbalance(p.schedule, w, 4, strat);
-    EXPECT_GE(imb.worst, imb.mean);
-    EXPECT_GE(imb.mean, 1.0);
-  }
+  const auto imb =
+      perf::partition_imbalance(build_sweep_schedule(p.schedule, p.split, 4));
+  EXPECT_GE(imb.worst, imb.mean);
+  EXPECT_GE(imb.mean, 1.0);
+}
+
+TEST(SweepSchedule, StageImbalanceChargesEveryStage) {
+  // Two threads, two forward stages, no backward stages: each thread's
+  // total load is 10, but each stage waits for its heavy slot. Summing
+  // per thread first would report a perfect 1.0.
+  StageSchedule s;
+  s.num_threads = 2;
+  s.fwd.num_stages = 2;
+  s.fwd.load = {9, 1,   // thread 0: stage 0, stage 1
+                1, 9};  // thread 1
+  // Σ_s max = 9 + 9, Σ_s mean = 5 + 5.
+  EXPECT_DOUBLE_EQ(stage_imbalance(s), 1.8);
+  const auto imb = perf::partition_imbalance(s);
+  EXPECT_DOUBLE_EQ(imb.mean, 1.8);
+  EXPECT_DOUBLE_EQ(imb.worst, 1.8);
+  s.fwd.load = {5, 5, 5, 5};
+  EXPECT_DOUBLE_EQ(stage_imbalance(s), 1.0);
+  EXPECT_DOUBLE_EQ(stage_imbalance(StageSchedule{}), 1.0);
 }
 
 TEST(SweepPlanIo, PointToPointPlanRoundTrips) {
