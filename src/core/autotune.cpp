@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "perf/sweep_replay.hpp"
-#include "reorder/graph.hpp"
 #include "support/fault_inject.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -161,9 +160,6 @@ AutotuneResult autotune_block_count(const CsrMatrix<double>& a, int k,
     result.oracle_used = true;
     const ScoringView view = make_scoring_view(a, oracle.max_sample_rows);
     const CsrMatrix<double>& s = view.matrix(a);
-    // One symmetrized adjacency graph serves every candidate — only
-    // the blocking/coloring depend on the block count.
-    const AdjacencyGraph g = adjacency_from_matrix(s);
     perf::ReplayConfig rc;
     rc.k = k;
     rc.threads = base.parallel ? max_threads() : 1;
@@ -178,7 +174,7 @@ AutotuneResult autotune_block_count(const CsrMatrix<double>& a, int k,
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       AbmcOptions ao = base.abmc;
       ao.num_blocks = view.scaled_blocks(candidates[i]);
-      const AbmcOrdering ord = abmc_order(g, ao);
+      const AbmcOrdering ord = abmc_order(s, ao);
       rc.col_index_bytes =
           base.index_compress
               ? perf::estimate_packed_index_bytes_per_nnz(s, &ord)

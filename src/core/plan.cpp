@@ -73,13 +73,14 @@ MpkPlan MpkPlan::build(const CsrMatrix<double>& a, PlanOptions opts) {
     plan.stats_.reorder_seconds = reorder_timer.seconds();
     plan.stats_.num_blocks = plan.schedule_.num_blocks;
     plan.stats_.num_colors = plan.schedule_.num_colors;
-    FBMPK_TSPAN(kPlan, "plan.split");
-    const CsrMatrix<double> permuted = permute_symmetric(a, plan.perm_);
-    plan.split_ = split_triangular(permuted);
   } else {
-    FBMPK_TSPAN(kPlan, "plan.split");
     plan.perm_ = Permutation::identity(a.rows());
-    plan.split_ = split_triangular(a);
+  }
+  {
+    // Permute and split in one pass; natural order skips the sort.
+    FBMPK_TSPAN(kPlan, "plan.split");
+    plan.split_ = split_triangular(
+        a, opts.reorder ? plan.perm_.order() : std::span<const index_t>{});
   }
 
   if (opts.parallel && opts.scheduler == Scheduler::kAuto) {
@@ -194,17 +195,18 @@ bool tuned_config_stale(const TunedConfig& cfg, index_t runtime_threads) {
   return cfg.tuned_threads != runtime_threads;
 }
 
-void MpkPlan::check_path(ExecPath path) const {
-  if (path != ExecPath::kEngine && path != ExecPath::kBarrier) return;
-  FBMPK_CHECK_CODE(opts_.parallel && !stages_.empty(),
-                   ErrorCode::kUnsupported,
-                   "engine/barrier execution override needs a scheduled "
-                   "parallel plan");
-  FBMPK_CHECK_CODE(path != ExecPath::kEngine ||
-                       opts_.sweep.sync == SweepSync::kPointToPoint,
-                   ErrorCode::kUnsupported,
-                   "engine execution override needs a plan built for "
-                   "point-to-point sync");
+Status MpkPlan::check_path(ExecPath path) const {
+  if (path != ExecPath::kEngine && path != ExecPath::kBarrier) return {};
+  if (!opts_.parallel || stages_.empty())
+    return FBMPK_MAKE_ERROR(ErrorCode::kUnsupported,
+                            "engine/barrier execution override needs a "
+                            "scheduled parallel plan");
+  if (path == ExecPath::kEngine &&
+      opts_.sweep.sync != SweepSync::kPointToPoint)
+    return FBMPK_MAKE_ERROR(ErrorCode::kUnsupported,
+                            "engine execution override needs a plan built "
+                            "for point-to-point sync");
+  return {};
 }
 
 template <class TI, class Rows, class X0, class Emit>
@@ -281,7 +283,7 @@ Status MpkPlan::try_power(std::span<const double> x, int k,
     FBMPK_CHECK(x.size() == static_cast<std::size_t>(n_));
     FBMPK_CHECK(y.size() == static_cast<std::size_t>(n_));
     FBMPK_CHECK(k >= 0);
-    check_path(path);
+    if (Status st = check_path(path); !st.ok()) return st;
     if (ctl != nullptr && ctl->cancelled())
       return Status(FBMPK_MAKE_ERROR(ctl->cancel_reason(),
                                      "request cancelled before execution"));
@@ -345,7 +347,7 @@ Status MpkPlan::try_power_batch(const double* const* xs, index_t nvec, int k,
     FBMPK_CHECK(xs != nullptr && ys != nullptr);
     FBMPK_CHECK(nvec >= 1);
     FBMPK_CHECK(k >= 0);
-    check_path(path);
+    if (Status st = check_path(path); !st.ok()) return st;
     if (ctl != nullptr && ctl->cancelled())
       return Status(FBMPK_MAKE_ERROR(ctl->cancel_reason(),
                                      "request cancelled before execution"));

@@ -337,8 +337,10 @@ class MpkPlan {
   /// The scheduler's front-end: build the stage schedule for `threads`
   /// threads from the split (and, for ABMC, the ordering).
   StageSchedule build_stages(index_t threads);
-  /// kUnsupported unless this plan can run the forced `path`.
-  void check_path(ExecPath path) const;
+  /// kUnsupported unless this plan can run the forced `path` — a
+  /// capability gap the service's rung ladder steps past, so it comes
+  /// back as a Status rather than a throw.
+  Status check_path(ExecPath path) const;
   /// True when the sweeps route through the runtime-dispatched row
   /// kernels (non-scalar backend and/or compressed indices) instead of
   /// the exact fb_detail path.
@@ -364,7 +366,8 @@ class MpkPlan {
              ExecPath path = ExecPath::kDefault,
              RunControl* ctl = nullptr) const;
   /// The reorder permutation the sweeps gather x and scatter y
-  /// through; nullptr when it is the identity.
+  /// through; nullptr when it is the identity (O(1): the flag is
+  /// recorded when the permutation is built or loaded).
   const Permutation* gather_perm() const {
     return perm_.is_identity() ? nullptr : &perm_;
   }

@@ -5,13 +5,14 @@
 
 namespace fbmpk {
 
-AbmcOrdering abmc_order(const AdjacencyGraph& g, const AbmcOptions& opts) {
-  FBMPK_CHECK(g.n > 0);
-  const Blocking blocking =
-      build_blocking(g, g.n, opts.num_blocks, opts.blocking);
-  const AdjacencyGraph q =
-      quotient_graph(g, blocking.block_of, blocking.num_blocks);
-  const Coloring coloring = greedy_color(q, opts.coloring);
+AbmcOrdering abmc_order(const CsrPattern& pattern, const Blocking& blocking,
+                        ColoringOrder coloring_order) {
+  const auto n = static_cast<index_t>(blocking.block_of.size());
+  FBMPK_CHECK(n > 0 &&
+              pattern.row_ptr.size() == static_cast<std::size_t>(n) + 1);
+  const AdjacencyGraph q = block_quotient(
+      std::span(&pattern, 1), blocking.block_ptr, blocking.row_order);
+  const Coloring coloring = greedy_color(q, coloring_order);
 
   // Stable-sort block ids by color; ties keep block order, which keeps
   // the underlying row order (and thus locality) intact within a color.
@@ -30,7 +31,7 @@ AbmcOrdering abmc_order(const AdjacencyGraph& g, const AbmcOptions& opts) {
   out.color_ptr.assign(static_cast<std::size_t>(out.num_colors) + 1, 0);
 
   std::vector<index_t> order;
-  order.reserve(static_cast<std::size_t>(g.n));
+  order.reserve(static_cast<std::size_t>(n));
   out.block_ptr.push_back(0);
   index_t prev_color = 0;
   for (index_t pos = 0; pos < out.num_blocks; ++pos) {

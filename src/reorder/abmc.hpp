@@ -1,11 +1,12 @@
 // Algebraic Block Multi-Color ordering (Iwashita et al.; paper §III-D).
 //
 // Pipeline: aggregate rows into blocks -> build the block quotient graph
-// of the (symmetrized) matrix pattern -> greedily color it -> emit a
-// permutation that lays blocks out color-by-color. After permutation,
-// blocks of one color occupy contiguous row ranges and share no matrix
-// edges, so they can be processed in parallel with one barrier per
-// color — exactly the schedule parallel FBMPK needs (DESIGN.md §1).
+// of the (symmetrized) matrix pattern straight from CSR -> greedily
+// color it -> emit a permutation that lays blocks out color-by-color.
+// After permutation, blocks of one color occupy contiguous row ranges
+// and share no matrix edges, so they can be processed in parallel with
+// one barrier per color — exactly the schedule parallel FBMPK needs
+// (DESIGN.md §1).
 #pragma once
 
 #include <vector>
@@ -25,7 +26,7 @@ struct AbmcOptions {
 
 /// The color schedule in the *permuted* index space.
 struct AbmcOrdering {
-  Permutation perm;  ///< new -> old row map (apply with permute_symmetric)
+  Permutation perm;  ///< new -> old row map (split_triangular(a, perm.order()))
   /// Row ranges of each block in the permuted matrix; blocks are sorted
   /// by color, so block b covers rows [block_ptr[b], block_ptr[b+1]).
   std::vector<index_t> block_ptr;
@@ -41,14 +42,23 @@ struct AbmcOrdering {
   }
 };
 
-/// Compute the ABMC ordering from a prebuilt adjacency graph.
-AbmcOrdering abmc_order(const AdjacencyGraph& g, const AbmcOptions& opts);
+/// ABMC ordering from a matrix pattern and its row blocking: colors
+/// the blocks' quotient graph (block_quotient) and lays them out color
+/// by color.
+AbmcOrdering abmc_order(const CsrPattern& pattern, const Blocking& blocking,
+                        ColoringOrder coloring);
 
-/// Compute the ABMC ordering for a square matrix's pattern.
+/// Compute the ABMC ordering for a square matrix's pattern. Only BFS
+/// blocking walks the row-level graph; the quotient comes straight from
+/// the CSR pattern either way.
 template <class T>
 AbmcOrdering abmc_order(const CsrMatrix<T>& a, const AbmcOptions& opts) {
-  const AdjacencyGraph g = adjacency_from_matrix(a);
-  return abmc_order(g, opts);
+  FBMPK_CHECK(a.rows() == a.cols() && a.rows() > 0);
+  const Blocking blocking = build_blocking(
+      opts.blocking == BlockingStrategy::kBfs ? adjacency_from_matrix(a)
+                                              : AdjacencyGraph{},
+      a.rows(), opts.num_blocks, opts.blocking);
+  return abmc_order(pattern_of(a), blocking, opts.coloring);
 }
 
 /// Check the schedule invariant on the *permuted* matrix: no stored

@@ -2,8 +2,9 @@
 //
 // RCM, blocking and coloring all operate on the symmetrized structure of
 // the matrix (an edge {i, j} exists when A(i,j) or A(j,i) is stored,
-// i != j). This header provides that graph plus the block quotient graph
-// used by ABMC.
+// i != j). This header provides that graph, which RCM and BFS blocking
+// walk, and the block quotient graph ABMC colors and the stage schedule
+// reads, built straight from CSR patterns.
 #pragma once
 
 #include <span>
@@ -73,25 +74,32 @@ AdjacencyGraph adjacency_from_matrix(const CsrMatrix<T>& a) {
   return g;
 }
 
-/// Quotient graph of `g` under a block assignment: vertices are blocks,
-/// blocks P and Q adjacent iff some edge of g crosses them (P != Q).
-/// `block_of[v]` must lie in [0, num_blocks).
-AdjacencyGraph quotient_graph(const AdjacencyGraph& g,
-                              const std::vector<index_t>& block_of,
-                              index_t num_blocks);
+/// Row pointers and column indices of a square CSR matrix — all the
+/// structure routines below read (values are never touched).
+struct CsrPattern {
+  std::span<const index_t> row_ptr;
+  std::span<const index_t> col_idx;
+};
 
-/// Block quotient graph rebuilt from two CSR *patterns* (the L and U
-/// triangles of a permuted matrix) and contiguous block row ranges
-/// (block b covers rows [block_ptr[b], block_ptr[b+1])). Equivalent to
-/// adjacency_from_matrix + quotient_graph but without materializing the
-/// row-level graph — this is what sweep-schedule planning runs on the
-/// already-split matrix. Both triangles together cover every
-/// off-diagonal entry, and since row i's L entry (i, j) mirrors row j's
-/// U entry (j, i), scanning both symmetrizes the pattern for free.
-AdjacencyGraph block_quotient_from_split(std::span<const index_t> lower_rp,
-                                         std::span<const index_t> lower_ci,
-                                         std::span<const index_t> upper_rp,
-                                         std::span<const index_t> upper_ci,
-                                         std::span<const index_t> block_ptr);
+template <class T>
+CsrPattern pattern_of(const CsrMatrix<T>& a) {
+  return {a.row_ptr(), a.col_idx()};
+}
+
+/// Block quotient graph of the symmetrized union of CSR patterns:
+/// vertices are blocks, and blocks P != Q are adjacent iff some stored
+/// entry (i, j) of any pattern has one end in P and the other in Q —
+/// the quotient of adjacency_from_matrix's row graph, without building
+/// it. Block b holds the rows row_order[block_ptr[b] .. block_ptr[b+1])
+/// (an empty row_order means the rows block_ptr[b] .. block_ptr[b+1]
+/// themselves); row_order must be a permutation of the rows.
+///
+/// One parallel pass over blocks collects each block's distinct foreign
+/// blocks with a per-thread stamp array; every crossing pair is then
+/// emitted in both directions, and a per-block sort + unique yields
+/// sorted lists. The result does not depend on the team size.
+AdjacencyGraph block_quotient(std::span<const CsrPattern> patterns,
+                              std::span<const index_t> block_ptr,
+                              std::span<const index_t> row_order = {});
 
 }  // namespace fbmpk

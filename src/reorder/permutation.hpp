@@ -27,14 +27,17 @@ class Permutation {
     return Permutation(std::move(v));
   }
 
-  /// Construct from an order vector; validates it is a permutation.
+  /// Construct from an order vector; validates it is a permutation and
+  /// records whether it is the identity.
   explicit Permutation(std::vector<index_t> order) : order_(std::move(order)) {
     std::vector<char> seen(order_.size(), 0);
-    for (index_t old : order_) {
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      const index_t old = order_[i];
       FBMPK_CHECK_MSG(old >= 0 && static_cast<std::size_t>(old) < order_.size(),
                       "order entry out of range: " << old);
       FBMPK_CHECK_MSG(!seen[old], "duplicate order entry: " << old);
       seen[old] = 1;
+      identity_ = identity_ && old == static_cast<index_t>(i);
     }
   }
 
@@ -62,16 +65,14 @@ class Permutation {
     return Permutation(std::move(v));
   }
 
-  bool is_identity() const {
-    for (std::size_t i = 0; i < order_.size(); ++i)
-      if (order_[i] != static_cast<index_t>(i)) return false;
-    return true;
-  }
+  /// O(1): recorded at construction.
+  bool is_identity() const { return identity_; }
 
   friend bool operator==(const Permutation&, const Permutation&) = default;
 
  private:
   std::vector<index_t> order_;
+  bool identity_ = true;
 };
 
 /// old_of(i) through an optional permutation (nullptr: the identity) —

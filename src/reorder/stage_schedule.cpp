@@ -219,8 +219,10 @@ StageSchedule build_sweep_schedule(const AbmcOrdering& o,
   // latest lower color, B_c on its earliest upper color (the latest
   // backward stage); each thread walks its stages in order, so these
   // waits also cover the previous pair — no pair-boundary deps.
-  const AdjacencyGraph g = block_quotient_from_split(
-      lower_rp, lower_ci, upper_rp, upper_ci, o.block_ptr);
+  // L and U together hold every off-diagonal entry of the permuted
+  // matrix, so their quotient is the permuted matrix's block quotient.
+  const CsrPattern triangles[] = {{lower_rp, lower_ci}, {upper_rp, upper_ci}};
+  const AdjacencyGraph g = block_quotient(triangles, o.block_ptr);
   std::vector<index_t> color_of(static_cast<std::size_t>(o.num_blocks));
   for (index_t c = 0; c < C; ++c)
     for (index_t b = o.color_ptr[c]; b < o.color_ptr[c + 1]; ++b)

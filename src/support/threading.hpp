@@ -5,6 +5,10 @@
 // the kernels used to hand-roll behind #ifdef _OPENMP ladders:
 //
 //  - parallel_for(n, f):      row-parallel static loop (own region)
+//  - parallel_for_n(T, n, f): the same static loop on a team of T
+//                             (inline when T = 1)
+//  - team_for_work(work):     team size for an O(work) pass (one
+//                             thread below kParallelGrain)
 //  - parallel_region(f):      f(thread_id, team_size) on every thread
 //  - team_barrier():          orphaned barrier inside a region
 //  - static_chunk(n, t, T):   the [begin, end) range `omp for
@@ -115,6 +119,46 @@ inline ThreadRange static_chunk(long long n, int t, int T) {
   return {begin, begin + base + (t < rem ? 1 : 0)};
 }
 
+#if defined(__SANITIZE_THREAD__)
+#define FBMPK_TSAN_REGION_FENCE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define FBMPK_TSAN_REGION_FENCE 1
+#endif
+#endif
+
+namespace detail {
+
+/// Makes the fork and the join of a parallel region visible to
+/// ThreadSanitizer. The OpenMP runtime (libgomp) is not
+/// TSan-instrumented and wakes pooled threads through its own futexes,
+/// so TSan sees neither edge: a team thread reading what the caller
+/// wrote before the region, or the caller freeing what a team thread
+/// wrote inside it, is reported as a race. The runtime suppression
+/// hides such a report only when TSan can still restore the team
+/// thread's stack, which fails once a long test outgrows its history,
+/// and matching it costs a symbolized stack per report. Under TSan the
+/// caller opens the region with a release store, every team thread
+/// enters with an acquire load and leaves with a release RMW, and the
+/// caller reads the count back with acquire: the order the fork and
+/// the join already give. Races between threads inside a region are
+/// still reported. In every other build the calls are empty.
+struct RegionFence {
+#ifdef FBMPK_TSAN_REGION_FENCE
+  std::atomic<int> arrived;
+  RegionFence() { arrived.store(0, std::memory_order_release); }
+  void enter() const { (void)arrived.load(std::memory_order_acquire); }
+  void arrive() { arrived.fetch_add(1, std::memory_order_release); }
+  void join() const { (void)arrived.load(std::memory_order_acquire); }
+#else
+  void enter() const {}
+  void arrive() {}
+  void join() const {}
+#endif
+};
+
+}  // namespace detail
+
 /// Run f(thread_id, team_size) on every thread of a fresh team. When
 /// called inside an existing region (or without OpenMP) it degrades to a
 /// single serial invocation f(0, 1) rather than nesting.
@@ -122,8 +166,14 @@ template <class F>
 inline void parallel_region(F&& f) {
 #ifdef _OPENMP
   if (!in_parallel()) {
+    detail::RegionFence fence;
 #pragma omp parallel default(shared)
-    f(omp_get_thread_num(), omp_get_num_threads());
+    {
+      fence.enter();
+      f(omp_get_thread_num(), omp_get_num_threads());
+      fence.arrive();
+    }
+    fence.join();
     return;
   }
 #endif
@@ -132,12 +182,19 @@ inline void parallel_region(F&& f) {
 
 /// As parallel_region but requests exactly `threads` team members; the
 /// runtime may deliver fewer, so f must read its team_size argument.
+/// One thread runs f(0, 1) inline, without forking.
 template <class F>
 inline void parallel_region_n(int threads, F&& f) {
 #ifdef _OPENMP
-  if (!in_parallel() && threads > 0) {
+  if (!in_parallel() && threads > 1) {
+    detail::RegionFence fence;
 #pragma omp parallel default(shared) num_threads(threads)
-    f(omp_get_thread_num(), omp_get_num_threads());
+    {
+      fence.enter();
+      f(omp_get_thread_num(), omp_get_num_threads());
+      fence.arrive();
+    }
+    fence.join();
     return;
   }
 #endif
@@ -151,12 +208,40 @@ template <class Index, class F>
 inline void parallel_for(Index n, F&& f) {
 #ifdef _OPENMP
   if (!in_parallel()) {
-#pragma omp parallel for schedule(static)
-    for (Index i = 0; i < n; ++i) f(i);
+    detail::RegionFence fence;
+#pragma omp parallel default(shared)
+    {
+      fence.enter();
+#pragma omp for schedule(static) nowait
+      for (Index i = 0; i < n; ++i) f(i);
+      fence.arrive();
+    }
+    fence.join();
     return;
   }
 #endif
   for (Index i = 0; i < n; ++i) f(i);
+}
+
+/// Passes over fewer elements (stored entries, rows) than this run on
+/// one thread: forking a team costs more than it saves on them, and far
+/// more when other processes hold the cores.
+inline constexpr long long kParallelGrain = 1 << 16;
+
+/// Team size for a pass over `work` elements: 1 below kParallelGrain,
+/// the full team at or above it.
+inline int team_for_work(long long work) {
+  return work < kParallelGrain ? 1 : max_threads();
+}
+
+/// parallel_for on a team of `threads` (parallel_region_n): each thread
+/// runs its static_chunk of [0, n).
+template <class Index, class F>
+inline void parallel_for_n(int threads, Index n, F&& f) {
+  parallel_region_n(threads, [&](int t, int team) {
+    const ThreadRange r = static_chunk(n, t, team);
+    for (auto i = static_cast<Index>(r.begin); i < r.end; ++i) f(i);
+  });
 }
 
 /// One architectural pause in a spin loop (no-op where unavailable).

@@ -59,6 +59,26 @@ TEST(PlanIo, RoundTripSerialPlan) {
   expect_plans_equivalent(plan, loaded, a, 4);
 }
 
+// The sweeps skip the gather/scatter of x and y when the plan's
+// permutation is the identity; that flag is recorded when the
+// permutation is built or loaded, not rescanned per call.
+TEST(PlanIo, LoadedPermutationRecordsWhetherItIsTheIdentity) {
+  const auto a = test::random_matrix(140, 6.0, false, 0x1d);
+  PlanOptions natural;
+  natural.reorder = false;
+  natural.scheduler = Scheduler::kLevels;
+  for (const bool reorder : {false, true}) {
+    SCOPED_TRACE(reorder ? "reordered" : "natural order");
+    auto plan = MpkPlan::build(a, reorder ? PlanOptions{} : natural);
+    std::stringstream buf;
+    save_plan(plan, buf);
+    auto loaded = load_plan(buf);
+    EXPECT_EQ(loaded.permutation().is_identity(), !reorder);
+    EXPECT_EQ(loaded.permutation(), plan.permutation());
+    expect_plans_equivalent(plan, loaded, a, 3);
+  }
+}
+
 TEST(PlanIo, RoundTripLevelScheduledPlan) {
   const auto a = test::random_matrix(200, 7.0, true, 5);
   PlanOptions opts;

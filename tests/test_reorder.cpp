@@ -31,6 +31,14 @@ TEST(Permutation, IdentityActsTrivially) {
   EXPECT_EQ(permute_symmetric(a, p), a);
 }
 
+TEST(Permutation, IdentityFlagRecordedAtConstruction) {
+  EXPECT_TRUE(Permutation({0, 1, 2, 3}).is_identity());
+  EXPECT_FALSE(Permutation({0, 2, 1, 3}).is_identity());
+  EXPECT_TRUE(Permutation().is_identity());
+  const Permutation p({2, 0, 3, 1});
+  EXPECT_TRUE(p.compose(Permutation(p.inverse())).is_identity());
+}
+
 TEST(Permutation, RejectsInvalidOrders) {
   EXPECT_THROW(Permutation({0, 0, 1}), Error);  // duplicate
   EXPECT_THROW(Permutation({0, 3, 1}), Error);  // out of range
@@ -105,14 +113,24 @@ TEST(Graph, NoDuplicateEdges) {
 }
 
 TEST(Graph, QuotientCollapsesBlocks) {
-  const auto g = path_graph(6);
+  // A path stored in one direction only: the quotient symmetrizes it.
+  CooMatrix<double> coo(6, 6);
+  for (index_t i = 0; i < 6; ++i) coo.add(i, i, 2.0);
+  for (index_t i = 0; i + 1 < 6; ++i) coo.add(i, i + 1, 1.0);
+  const auto a = CsrMatrix<double>::from_coo(coo);
+  const CsrPattern pattern = pattern_of(a);
   // Blocks {0,1}, {2,3}, {4,5}: quotient is a path of 3 blocks.
-  const std::vector<index_t> block_of{0, 0, 1, 1, 2, 2};
-  const auto q = quotient_graph(g, block_of, 3);
+  const std::vector<index_t> block_ptr{0, 2, 4, 6};
+  const auto q = block_quotient(std::span(&pattern, 1), block_ptr);
   q.validate();
-  EXPECT_EQ(q.degree(0), 1);
-  EXPECT_EQ(q.degree(1), 2);
-  EXPECT_EQ(q.degree(2), 1);
+  EXPECT_EQ(q.adj, (std::vector<index_t>{1, 0, 2, 1}));
+  EXPECT_EQ(q.ptr, (std::vector<index_t>{0, 1, 3, 4}));
+  // Interleaved blocks {0,2,4} and {1,3,5} through a row order.
+  const std::vector<index_t> row_order{0, 2, 4, 1, 3, 5};
+  const auto qp = block_quotient(std::span(&pattern, 1),
+                                 std::vector<index_t>{0, 3, 6}, row_order);
+  qp.validate();
+  EXPECT_EQ(qp.adj, (std::vector<index_t>{1, 0}));
 }
 
 TEST(Rcm, ReducesBandwidthOfShuffledGrid) {

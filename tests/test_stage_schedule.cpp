@@ -161,8 +161,6 @@ TEST_P(StageScheduleDifferential, PlanRunMethodsMatchSerialPlanAndAlias) {
       const MpkPlan p2p = MpkPlan::build(a, opts);
       opts.sweep.sync = SweepSync::kBarrier;
       const MpkPlan barrier = MpkPlan::build(a, opts);
-      // Destroyed first: runs before the plans and buffers are freed.
-      const test::OpenMpJoinFence fence;
 
       for (const int k : {1, 2, 5, kMaxK}) {
         SCOPED_TRACE("k=" + std::to_string(k));

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -160,31 +159,6 @@ inline SchedulerFilter scheduler_filter() {
   if (s == "levels") return {false, true};
   return {};
 }
-
-/// Orders every OpenMP team thread's earlier accesses before the
-/// caller's later ones in ThreadSanitizer's view. libgomp is not
-/// TSan-instrumented, so TSan cannot see the join that ends a parallel
-/// region: the main thread freeing memory a team thread touched inside
-/// an earlier region is reported as a race unless TSan can still
-/// restore that thread's stack (libgomp frames are suppressed in
-/// .tsan-suppressions). A ten-line program with one `omp parallel`
-/// write and a `free` after it shows the report. Here every team
-/// thread does one release RMW on a shared counter and the caller
-/// reads the last value with acquire — the order the region's join
-/// already guarantees. Races between threads inside a region are
-/// still reported.
-struct OpenMpJoinFence {
-  OpenMpJoinFence() = default;
-  OpenMpJoinFence(const OpenMpJoinFence&) = delete;
-  OpenMpJoinFence& operator=(const OpenMpJoinFence&) = delete;
-  ~OpenMpJoinFence() {
-    std::atomic<int> arrived{0};
-    parallel_region([&](int, int) {
-      arrived.fetch_add(1, std::memory_order_release);
-    });
-    (void)arrived.load(std::memory_order_acquire);
-  }
-};
 
 /// Run one stage-schedule rung over the exact row policy: the engine
 /// (falling back to the barrier rung when it cannot run) or the barrier
